@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 configuration/usage error, 3 I/O error.
 import argparse
 import json
 import sys
+from functools import partial
 
 from .codes import CodeConstructionError
 from .listdec import ListConfig
@@ -66,15 +67,29 @@ def _cmd_design(args):
     return EXIT_OK
 
 
-def _cmd_simulate(args):
+def _config_value(action, key, value):
+    """Convert a --config value as argparse converts the same option's text."""
+    if value is None and action.default is None:
+        return None
+    try:
+        value = (action.type or str)(str(value))
+    except ValueError:
+        raise ValueError(f"config key {key!r}: invalid value {value!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"config key {key!r}: {value!r} is not one of {action.choices}")
+    return value
+
+
+def _cmd_simulate(args, parser):
     if args.config:
         with open(args.config) as fh:
             overrides = json.load(fh)
+        actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
         for key, value in overrides.items():
-            attr = key.replace("-", "_")
-            if not hasattr(args, attr):
+            action = actions.get(key.replace("-", "_"))
+            if action is None:
                 raise ValueError(f"unknown config key {key!r}")
-            setattr(args, attr, value)
+            setattr(args, action.dest, _config_value(action, key, value))
     if args.n is None or args.k is None:
         if args.decoder != "llr" and args.lut:
             lutset = load_lutset(args.lut)
@@ -161,7 +176,7 @@ def build_parser():
     p_sim.add_argument("--workers", type=int, default=1)
     p_sim.add_argument("--out", default=None, metavar="CSV")
     p_sim.add_argument("--json-out", default=None, metavar="JSON")
-    p_sim.set_defaults(func=_cmd_simulate)
+    p_sim.set_defaults(func=partial(_cmd_simulate, parser=p_sim))
     return parser
 
 

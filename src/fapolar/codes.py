@@ -185,23 +185,18 @@ def construct(
 
 
 def polar_transform(u) -> np.ndarray:
-    """Apply the butterfly transform over GF(2); self-inverse, O(N log N)."""
-    x = np.array(u, dtype=np.uint8, copy=True)
-    if x.ndim == 1:
-        x = x[None, :]
-        squeeze = True
-    else:
-        squeeze = False
+    """GF(2) butterfly transform along the last axis in log2 N XOR stages; self-inverse."""
+    x = np.array(u, dtype=np.uint8, order="C")
     n_bits = x.shape[-1]
     if n_bits & (n_bits - 1):
         raise CodeConstructionError("transform length must be a power of two")
+    rows = x.reshape(-1, n_bits)
     half = 1
     while half < n_bits:
-        step = 2 * half
-        for lo in range(0, n_bits, step):
-            x[:, lo:lo + half] ^= x[:, lo + half:lo + step]
-        half = step
-    return x[0] if squeeze else x
+        blocks = rows.reshape(rows.shape[0], n_bits // (2 * half), 2, half)
+        blocks[:, :, 0] ^= blocks[:, :, 1]
+        half *= 2
+    return x
 
 
 def encode(code: PolarCode, u) -> np.ndarray:

@@ -9,6 +9,13 @@ message arithmetic and translate messages to LLRs at the leaves.
 All constituent decoders use the hardware-friendly approximate path metric.
 Candidate order is deterministic: parent path first, fork flag 0 before 1,
 and ties in the pruning sort keep that order.
+
+Every fork copies the path state, so it holds only what the rest of the walk
+reads (Tal & Vardy's per-depth layout, LLR form). Messages into the current
+node of size s sit in ``msgs[:, s:2s]`` of a (paths, N) array; the root reads
+the channel row, shared by all paths. That node's two child outputs sit in
+``bits[:, s:2s]`` of a (paths, 2N) array; the codeword estimate ends in
+``bits[:, N:2N]``, and the input estimate is one transform of the final list.
 """
 
 from dataclasses import dataclass, field
@@ -85,24 +92,16 @@ def decode_rep(metrics, alpha, list_size):
 def decode_rate1(metrics, alpha, list_size):
     """All-information span: split on the min(L-1, size) least reliable bits."""
     alpha = np.atleast_2d(alpha)
-    n_paths, size = alpha.shape
-    mag = np.abs(alpha)
-    order = np.argsort(mag, axis=1, kind="stable")
+    order = np.argsort(np.abs(alpha), axis=1, kind="stable")
+    mag = np.take_along_axis(np.abs(alpha), order, axis=1)  # sorted per row
     beta = hard_decision(alpha)
     mu = np.asarray(metrics, dtype=np.float64).copy()
-    parent = np.arange(n_paths)
-    splits = min(list_size - 1, size)
-    for step in range(splits):
-        pos = order[:, step]
-        cost = np.take_along_axis(mag, pos[:, None], axis=1)[:, 0]
-        sel_parent, fork, mu = _fork_prune(mu, mu + cost, list_size)
-        parent = parent[sel_parent]
-        beta = beta[sel_parent]
-        mag = mag[sel_parent]
-        order = order[sel_parent]
-        pos = pos[sel_parent]
+    parent = np.arange(alpha.shape[0])
+    for step in range(min(list_size - 1, alpha.shape[1])):
+        sel, fork, mu = _fork_prune(mu, mu + mag[parent, step], list_size)
+        parent, beta = parent[sel], beta[sel]
         flip = fork == 1
-        beta[flip, pos[flip]] ^= 1
+        beta[flip, order[parent[flip], step]] ^= 1
     return parent, mu, beta
 
 
@@ -117,33 +116,22 @@ def decode_spc(metrics, alpha, list_size):
     last to restore even parity.
     """
     alpha = np.atleast_2d(alpha)
-    n_paths, size = alpha.shape
-    mag = np.abs(alpha)
-    order = np.argsort(mag, axis=1, kind="stable")
+    order = np.argsort(np.abs(alpha), axis=1, kind="stable")
+    mag = np.take_along_axis(np.abs(alpha), order, axis=1)  # sorted per row
     beta = hard_decision(alpha)
-    min_pos = order[:, 0]
-    min_mag = np.take_along_axis(mag, min_pos[:, None], axis=1)[:, 0]
+    min_mag = mag[:, 0]
     parity = np.bitwise_xor.reduce(beta, axis=1)
     mu = np.asarray(metrics, dtype=np.float64) + parity * min_mag
-    parent = np.arange(n_paths)
-    splits = min(list_size, size)
-    for step in range(1, splits):
-        pos = order[:, step]
-        cost = np.take_along_axis(mag, pos[:, None], axis=1)[:, 0]
-        cost = cost + (1.0 - 2.0 * parity) * min_mag
-        sel_parent, fork, mu = _fork_prune(mu, mu + cost, list_size)
-        parent = parent[sel_parent]
-        beta = beta[sel_parent]
-        mag = mag[sel_parent]
-        order = order[sel_parent]
-        min_pos = min_pos[sel_parent]
-        min_mag = min_mag[sel_parent]
-        parity = parity[sel_parent]
-        pos = pos[sel_parent]
+    parent = np.arange(alpha.shape[0])
+    for step in range(1, min(list_size, alpha.shape[1])):
+        cost = mag[parent, step] + (1.0 - 2.0 * parity) * min_mag[parent]
+        sel, fork, mu = _fork_prune(mu, mu + cost, list_size)
+        parent, beta, parity = parent[sel], beta[sel], parity[sel]
         flip = fork == 1
-        beta[flip, pos[flip]] ^= 1
+        beta[flip, order[parent[flip], step]] ^= 1
         parity[flip] ^= 1
     rows = np.arange(beta.shape[0])
+    min_pos = order[parent, 0]
     beta[rows, min_pos] = 0
     beta[rows, min_pos] = np.bitwise_xor.reduce(beta, axis=1)
     return parent, mu, beta
@@ -193,65 +181,60 @@ class ListEngine:
         self.ops = ops
 
     def decode(self, channel_msgs) -> DecodeResult:
-        code = self.code
-        n, n_bits = code.n, code.block_len
+        n_bits = self.code.block_len
         root_msgs = self.ops.root_messages(channel_msgs)
         if root_msgs.shape != (n_bits,):
             raise ValueError("channel message length != block length")
-        self.msgs = np.zeros((1, n + 1, n_bits), dtype=self.ops.dtype)
-        self.msgs[0, 0, :] = root_msgs
-        self.bits = np.zeros((1, n + 1, n_bits), dtype=np.uint8)
-        self.u_hat = np.zeros((1, n_bits), dtype=np.uint8)
+        self.channel = root_msgs[None, :]
+        self.msgs = np.zeros((1, n_bits), dtype=self.ops.dtype)
+        self.bits = np.zeros((1, 2 * n_bits), dtype=np.uint8)
         self.mu = np.zeros(1, dtype=np.float64)
-        self._walk(self.tree.root)
+        self._walk(self.tree.root, n_bits)
         order = np.argsort(self.mu, kind="stable")
-        result = DecodeResult(
-            u_hats=self.u_hat[order],
-            x_hats=self.bits[order, 0, :],
-            metrics=self.mu[order],
-        )
+        x_hats = self.bits[order, n_bits:]
+        result = DecodeResult(u_hats=polar_transform(x_hats), x_hats=x_hats,
+                              metrics=self.mu[order])
         self.ops.note_result(result)
         return result
 
     def _permute(self, parent_idx):
         self.msgs = self.msgs[parent_idx]
         self.bits = self.bits[parent_idx]
-        self.u_hat = self.u_hat[parent_idx]
 
-    def _walk(self, node):
-        d, lo, size = node.depth, node.span_start, node.size
-        hi = lo + size
+    def _inputs(self, size):
+        """Messages into the current node of this size (the channel at the root)."""
+        return self.channel if size == self.code.block_len else self.msgs[:, size:2 * size]
+
+    def _walk(self, node, out):
+        """Decode the subtree at ``node`` into ``bits[:, out:out + node.size]``."""
+        size = node.size
         if node.is_leaf:
-            llrs = self.ops.leaf_llrs(node, self.msgs[:, d, lo:hi])
+            llrs = self.ops.leaf_llrs(node, self._inputs(size))
             if size == 1:
-                self._bit_leaf(node, lo, d, llrs[:, 0])
+                self._bit_leaf(node.span_start, out, llrs[:, 0])
             else:
                 handler = _SPECIAL_DECODERS[node.kind]
                 parent, self.mu, beta = handler(self.mu, llrs, self.cfg.list_size)
                 self._permute(parent)
-                self.bits[:, d, lo:hi] = beta
-                self.u_hat[:, lo:hi] = polar_transform(beta)
+                self.bits[:, out:out + size] = beta
             return
-        mid = lo + size // 2
-        a = self.msgs[:, d, lo:mid]
-        b = self.msgs[:, d, mid:hi]
-        self.msgs[:, d + 1, lo:mid] = self.ops.f_update(node, a, b)
-        self._walk(node.left)
-        beta_left = self.bits[:, d + 1, lo:mid]
-        a = self.msgs[:, d, lo:mid]
-        b = self.msgs[:, d, mid:hi]
-        self.msgs[:, d + 1, mid:hi] = self.ops.g_update(node, a, b, beta_left)
-        self._walk(node.right)
-        self.bits[:, d, lo:hi] = combine_bits(
-            self.bits[:, d + 1, lo:mid], self.bits[:, d + 1, mid:hi]
+        half = size // 2
+        alpha = self._inputs(size)
+        self.msgs[:, half:size] = self.ops.f_update(node, alpha[:, :half], alpha[:, half:])
+        self._walk(node.left, size)
+        alpha = self._inputs(size)
+        self.msgs[:, half:size] = self.ops.g_update(
+            node, alpha[:, :half], alpha[:, half:], self.bits[:, size:size + half])
+        self._walk(node.right, size + half)
+        self.bits[:, out:out + size] = combine_bits(
+            self.bits[:, size:size + half], self.bits[:, size + half:2 * size]
         )
 
-    def _bit_leaf(self, node, pos, depth, llrs):
+    def _bit_leaf(self, pos, out, llrs):
         mode = self.cfg.metric_mode
         if self.code.frozen_mask[pos]:
             self.mu = self.mu + metric_increment(0, llrs, mode)
-            self.bits[:, depth, pos] = 0
-            self.u_hat[:, pos] = 0
+            self.bits[:, out] = 0
             return
         parent, fork, self.mu = _fork_prune(
             self.mu + metric_increment(0, llrs, mode),
@@ -259,8 +242,7 @@ class ListEngine:
             self.cfg.list_size,
         )
         self._permute(parent)
-        self.bits[:, depth, pos] = fork
-        self.u_hat[:, pos] = fork
+        self.bits[:, out] = fork
 
 
 def scl_decode(code: PolarCode, y_llr, cfg: ListConfig, tree: DecoderTree = None) -> DecodeResult:

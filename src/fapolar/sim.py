@@ -10,8 +10,10 @@ import hashlib
 import json
 import time
 import warnings
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
+from itertools import islice
 
 import numpy as np
 
@@ -133,6 +135,20 @@ def _batch_job(args):
     return run_frames(code, decoder, channel, seed, range(start, stop))
 
 
+def _batch_results(jobs, workers):
+    """(last frame, errors) per batch, in order. With a pool, at most ``workers``
+    batches are in flight and the next is submitted only when a result is read."""
+    if workers <= 1:
+        yield from ((job[-1], _batch_job(job)) for job in jobs)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        in_flight = deque((job[-1], pool.submit(_batch_job, job)) for job in islice(jobs, workers))
+        while in_flight:
+            stop, fut = in_flight.popleft()
+            yield stop, fut.result()
+            in_flight.extend((job[-1], pool.submit(_batch_job, job)) for job in islice(jobs, 1))
+
+
 def run_point(code: PolarCode, decoder, channel: ChannelModel, *,
               seed: int = 0, max_frames: int = 10000, min_errors: int = 100,
               batch_size: int = 256, workers: int = 1) -> SimPoint:
@@ -145,25 +161,14 @@ def run_point(code: PolarCode, decoder, channel: ChannelModel, *,
         raise ValueError("invalid stop criteria")
     t0 = time.perf_counter()
     errors = 0
-    frames_done = 0
-    bounds = [(s, min(s + batch_size, max_frames)) for s in range(0, max_frames, batch_size)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_batch_job, (code, decoder, channel, seed, a, b))
-                       for a, b in bounds]
-            for (a, b), fut in zip(bounds, futures):
-                errors += fut.result()
-                frames_done = b
-                if errors >= min_errors > 0:
-                    for other in futures:
-                        other.cancel()
-                    break
-    else:
-        for a, b in bounds:
-            errors += run_frames(code, decoder, channel, seed, range(a, b))
-            frames_done = b
-            if errors >= min_errors > 0:
-                break
+    jobs = ((code, decoder, channel, seed, s, min(s + batch_size, max_frames))
+            for s in range(0, max_frames, batch_size))
+    batches = _batch_results(jobs, workers)
+    for frames_done, batch_errors in batches:
+        errors += batch_errors
+        if errors >= min_errors > 0:
+            break
+    batches.close()  # stop submitting; wait only for batches already running
     elapsed = time.perf_counter() - t0
     return SimPoint(channel.ebn0_db, frames_done, errors, errors / frames_done, elapsed)
 

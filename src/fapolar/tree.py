@@ -88,6 +88,7 @@ class DecoderTree:
     schedule: tuple
     edge_kinds: tuple          # edge id -> "f" | "g", in activation order
     leaf_count: int = field(init=False)
+    _schedule_hash: str = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "leaf_count", len(self.schedule))
@@ -105,11 +106,13 @@ class DecoderTree:
         return sum(1 for k in self.edge_kinds if k == "g")
 
     def schedule_hash(self) -> str:
-        h = hashlib.sha256()
-        h.update(str(self.block_len).encode())
-        for spec in self.schedule:
-            h.update(f"{spec.depth},{spec.size},{spec.span_start},{spec.kind.value};".encode())
-        return h.hexdigest()[:16]
+        """Identity of the schedule; hashed on the first call (LUT decoders check
+        it every frame), so trees never used with a LUT set skip the cost."""
+        if self._schedule_hash is None:
+            text = str(self.block_len) + "".join(
+                f"{s.depth},{s.size},{s.span_start},{s.kind.value};" for s in self.schedule)
+            object.__setattr__(self, "_schedule_hash", hashlib.sha256(text.encode()).hexdigest()[:16])
+        return self._schedule_hash
 
 
 def build_tree(code: PolarCode, enabled_kinds=ALL_NODE_KINDS) -> DecoderTree:

@@ -79,11 +79,20 @@ def test_simulate_lut_decoder_infers_code(capsys, tmp_path):
     assert "8 dB" in out
 
 
-def test_config_errors_exit_2(capsys):
+def test_config_errors_exit_2(capsys, tmp_path):
     rc, _, err = run_cli(capsys, "tree", "--n", "12", "--k", "4")
     assert rc == 2 and "error" in err
     rc, _, err = run_cli(capsys, "simulate", "--ebn0-list", "1.0")
     assert rc == 2
+    # --config values are converted like their command-line text
+    cfg_file = tmp_path / "cfg.json"
+    for cfg, want_rc in (({"list": "8"}, 0), ({"list": "eight"}, 2), ({"list": 8.5}, 2),
+                         ({"list": None}, 2), ({"schedule": "ssc"}, 2), ({"func": 1}, 2)):
+        key = next(iter(cfg))
+        cfg_file.write_text(json.dumps({"n": 32, "k": 12, **cfg}))
+        rc, _, err = run_cli(capsys, "simulate", "--config", str(cfg_file))
+        assert rc == want_rc, cfg
+        assert want_rc == 0 or repr(key) in err
 
 
 def test_io_errors_exit_3(capsys):

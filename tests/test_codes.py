@@ -74,6 +74,36 @@ def test_encode_involution_and_linearity():
             )
 
 
+def slice_loop_transform(u):
+    """Reference transform: one XOR per butterfly block, N - 1 slices."""
+    x = np.array(u, dtype=np.uint8, copy=True)
+    n_bits = x.shape[-1]
+    half = 1
+    while half < n_bits:
+        for lo in range(0, n_bits, 2 * half):
+            x[..., lo:lo + half] ^= x[..., lo + half:lo + 2 * half]
+        half *= 2
+    return x
+
+
+def test_butterfly_transform_matches_slice_loop():
+    rng = np.random.default_rng(12)
+    for n in range(1, 11):
+        n_bits = 1 << n
+        u = rng.integers(0, 2, n_bits, dtype=np.uint8)
+        assert np.array_equal(fp.polar_transform(u), slice_loop_transform(u))
+        batch = rng.integers(0, 2, (5, n_bits), dtype=np.uint8)
+        kept = batch.copy()
+        want = slice_loop_transform(batch)
+        assert np.array_equal(fp.polar_transform(batch), want)
+        assert np.array_equal(batch, kept)
+        # Fortran-ordered and negatively strided inputs transform the same
+        assert np.array_equal(fp.polar_transform(np.asfortranarray(batch)), want)
+        assert np.array_equal(fp.polar_transform(batch[::-1])[::-1], want)
+    with pytest.raises(CodeConstructionError):
+        fp.polar_transform(np.zeros(12, dtype=np.uint8))
+
+
 def test_encode_rejects_nonzero_frozen(code8):
     u = np.zeros(8, dtype=np.uint8)
     u[0] = 1  # frozen position

@@ -235,3 +235,22 @@ def test_w8_lut_scl_nearly_lossless(n64_setup):
         _, info_f, _ = fp.ca_select(code, res_float)
         agree += np.array_equal(info_l, info_f)
     assert agree >= 0.99 * trials
+
+
+def test_u_hats_are_transform_of_x_hats(n64_setup, n64_ib):
+    # the engine keeps only x_hats and transforms the final list once; every
+    # row must be a codeword whose input matches, on all tree kinds
+    code, sc, fast = n64_setup
+    cfg = fp.ListConfig(list_size=4)
+    for trial in range(10):
+        _, _, y = noisy_frame(code, sigma=0.9, seed=(900, trial))
+        llr = 2.0 * y / 0.81
+        results = [fp.scl_decode(code, llr, cfg), fp.fscl_decode(code, fast, llr, cfg)]
+        for tree, lutset in zip((sc, fast), n64_ib):
+            symbols = quantize_rx(lutset.channel_thresholds, y)
+            results.append(lut_fscl_decode(code, tree, symbols, lutset, cfg))
+        for res in results:
+            assert res.u_hats.shape == res.x_hats.shape == (len(res), code.block_len)
+            for u_hat, x_hat in zip(res.u_hats, res.x_hats):
+                assert np.array_equal(u_hat, fp.polar_transform(x_hat))
+                assert np.array_equal(fp.encode(code, u_hat), x_hat)

@@ -58,6 +58,31 @@ def test_run_point_reproducible_and_worker_independent():
     assert (a.frames, a.block_errors) == (c.frames, c.block_errors)
 
 
+def test_run_point_workers_stop_submitting_at_stop_batch(monkeypatch):
+    import fapolar.sim as sim
+
+    submitted = []
+
+    class CountingPool(sim.ProcessPoolExecutor):
+        def submit(self, fn, *args):
+            submitted.append(args[0][-2:])
+            return super().submit(fn, *args)
+
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", CountingPool)
+    code = fp.construct(32, 12, 4)
+    decoder = FrameDecoder(code, DecoderSpec(family="llr", list_size=2))
+    channel = ChannelModel(-2.0, code.rate)
+    kwargs = dict(seed=4, max_frames=10 ** 6, min_errors=30, batch_size=16)
+    single = run_point(code, decoder, channel, **kwargs)
+    pooled = run_point(code, decoder, channel, workers=2, **kwargs)
+    assert (pooled.frames, pooled.block_errors) == (single.frames, single.block_errors)
+    assert single.frames < 10 * 16
+    # batches up to the stopping one, plus at most one more already in flight
+    assert submitted[: single.frames // 16] == [
+        (a, a + 16) for a in range(0, single.frames, 16)]
+    assert len(submitted) <= single.frames // 16 + 1
+
+
 def test_run_point_stops_on_errors():
     code = fp.construct(32, 12, 4)
     decoder = FrameDecoder(code, DecoderSpec(family="llr", list_size=2))
@@ -149,3 +174,27 @@ def test_frame_decoder_lut_roundtrip(tmp_path):
     with pytest.raises(ValueError):
         FrameDecoder(code, DecoderSpec(family="ib", schedule="fast",
                                        lut_path=str(path)))
+
+
+def test_sweep_csv_bytes_pinned(tmp_path):
+    # bytes recorded before the per-size path-state layout; a change in decoded
+    # bits that moves an error count fails here, not only in the benchmark
+    from fapolar.lutdesign import design_lutset, save_lutset
+
+    code = fp.construct(256, 128, 16)
+    save_lutset(design_lutset(code, fp.build_tree(code), "msib", 2.0, 4),
+                tmp_path / "msib.json")
+    runs = [
+        (DecoderSpec(family="llr", schedule="sc", metric_mode="exact", list_size=4),
+         b"1.0,64,36,0.5625,llr,sc,float,exact,0,4,5\r\n"
+         b"2.0,64,8,0.125,llr,sc,float,exact,0,4,5\r\n"),
+        (DecoderSpec(family="msib", schedule="fast", list_size=4,
+                     lut_path=str(tmp_path / "msib.json")),
+         b"1.0,64,39,0.609375,msib,fast,msib,approx,4,4,5\r\n"
+         b"2.0,64,12,0.1875,msib,fast,msib,approx,4,4,5\r\n"),
+    ]
+    header = b"ebn0_db,frames,errors,bler,decoder,schedule,variant,metric,w,list,seed\r\n"
+    for spec, rows in runs:
+        write_csv(sweep(code, spec, [1.0, 2.0], seed=5, max_frames=64, min_errors=0),
+                  tmp_path / "out.csv")
+        assert (tmp_path / "out.csv").read_bytes() == header + rows

@@ -155,3 +155,15 @@ def test_schedule_hash_distinguishes_trees(code8):
     ssc = fp.build_tree(code8, kinds("R0", "R1"))
     assert fast.schedule_hash() != ssc.schedule_hash()
     assert fast.schedule_hash() == fp.build_tree(code8).schedule_hash()
+
+
+def test_schedule_hash_hashed_once_and_stable(code8, monkeypatch):
+    import hashlib
+
+    calls = []
+    real = hashlib.sha256
+    monkeypatch.setattr(hashlib, "sha256", lambda data=b"": calls.append(1) or real(data))
+    tree = fp.build_tree(code8)
+    # LUT files store this value, so its format must not drift
+    assert [tree.schedule_hash() for _ in range(3)] == ["e0169255eccc5413"] * 3
+    assert len(calls) == 1
