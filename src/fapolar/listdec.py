@@ -53,20 +53,18 @@ class DecodeResult:
         return self.metrics.size
 
 
-def _stable_prune(flat_metrics: np.ndarray, keep: int) -> np.ndarray:
-    """Indices of the ``keep`` smallest metrics; ties keep candidate order."""
-    order = np.argsort(flat_metrics, kind="stable")
-    return order[:keep]
-
-
 def _fork_prune(metrics_keep, metrics_fork, list_size):
-    """Interleave (parent-major, keep before fork) and prune.
+    """Interleave (parent-major, keep before fork) and keep the ``list_size``
+    smallest; ties keep candidate order.
 
     Returns (parent_idx, fork_flag, metrics) for the survivors.
     """
-    cands = np.stack([metrics_keep, metrics_fork], axis=1).ravel()
-    sel = _stable_prune(cands, min(list_size, cands.size))
-    return sel // 2, (sel % 2).astype(np.uint8), cands[sel]
+    cands = np.empty(2 * len(metrics_keep))
+    cands[0::2] = metrics_keep
+    cands[1::2] = metrics_fork
+    sel = cands.argsort(kind="stable")[:list_size]
+    parent, fork = np.divmod(sel, 2)
+    return parent, fork.astype(np.uint8), cands[sel]
 
 
 def decode_rate0(metrics, alpha):
@@ -137,6 +135,8 @@ def decode_spc(metrics, alpha, list_size):
     return parent, mu, beta
 
 
+_BIT_PAIR = np.array([[0], [1]])  # one metric_increment call prices both decisions
+
 _SPECIAL_DECODERS = {
     NodeKind.R0: lambda mu, a, L: decode_rate0(mu, a),
     NodeKind.REP: decode_rep,
@@ -146,21 +146,21 @@ _SPECIAL_DECODERS = {
 
 
 class _FloatOps:
-    """Message arithmetic for LLR-domain decoding."""
+    """Message arithmetic for LLR-domain decoding; updates write into ``out``."""
 
     dtype = np.float64
 
     def __init__(self, metric_mode: str):
-        self._f = f_minsum if metric_mode == "approx" else f_exact
+        self.f = f_minsum if metric_mode == "approx" else f_exact
 
     def root_messages(self, y):
         return np.asarray(y, dtype=np.float64)
 
-    def f_update(self, node, a, b):
-        return self._f(a, b)
+    def f_update(self, node, a, b, out):
+        self.f(a, b, out=out)
 
-    def g_update(self, node, a, b, bit):
-        return g_func(a, b, bit)
+    def g_update(self, node, a, b, bit, out):
+        g_func(a, b, bit, out=out)
 
     def leaf_llrs(self, node, msgs):
         return msgs
@@ -215,20 +215,43 @@ class ListEngine:
             else:
                 handler = _SPECIAL_DECODERS[node.kind]
                 parent, self.mu, beta = handler(self.mu, llrs, self.cfg.list_size)
-                self._permute(parent)
+                if node.kind is not NodeKind.R0:  # rate-0 keeps every path in place
+                    self._permute(parent)
                 self.bits[:, out:out + size] = beta
+            return
+        if node.kind is NodeKind.R0 and isinstance(self.ops, _FloatOps):
+            self._frozen_subtree(self._inputs(size), out, size)
             return
         half = size // 2
         alpha = self._inputs(size)
-        self.msgs[:, half:size] = self.ops.f_update(node, alpha[:, :half], alpha[:, half:])
+        self.ops.f_update(node, alpha[:, :half], alpha[:, half:], self.msgs[:, half:size])
         self._walk(node.left, size)
         alpha = self._inputs(size)
-        self.msgs[:, half:size] = self.ops.g_update(
-            node, alpha[:, :half], alpha[:, half:], self.bits[:, size:size + half])
+        self.ops.g_update(node, alpha[:, :half], alpha[:, half:],
+                          self.bits[:, size:size + half], self.msgs[:, half:size])
         self._walk(node.right, size + half)
-        self.bits[:, out:out + size] = combine_bits(
-            self.bits[:, size:size + half], self.bits[:, size + half:2 * size]
-        )
+        combine_bits(self.bits[:, size:size + half], self.bits[:, size + half:2 * size],
+                     out=self.bits[:, out:out + size])
+
+    def _frozen_subtree(self, alpha, out, size):
+        """An all-frozen interior node on LLRs. No leaf LLR depends on a decision,
+        so each level takes one f call and one add (g with bit 0) for all of its
+        nodes; the bit-0 increments are then added in leaf order, as the
+        node-by-node walk adds them."""
+        paths = alpha.shape[0]
+        llrs = alpha[:, None, :]            # (paths, nodes of this level, node size)
+        while llrs.shape[2] > 1:
+            half = llrs.shape[2] // 2
+            a, b = llrs[:, :, :half], llrs[:, :, half:]
+            child = np.empty((paths, llrs.shape[1], 2, half))
+            self.ops.f(a, b, out=child[:, :, 0])
+            np.add(a, b, out=child[:, :, 1])
+            llrs = child.reshape(paths, -1, half)
+        terms = np.empty((size + 1, paths))
+        terms[0] = self.mu
+        terms[1:] = metric_increment(0, llrs[:, :, 0].T, self.cfg.metric_mode)
+        self.mu = np.add.accumulate(terms)[-1]
+        self.bits[:, out:out + size] = 0
 
     def _bit_leaf(self, pos, out, llrs):
         mode = self.cfg.metric_mode
@@ -236,11 +259,8 @@ class ListEngine:
             self.mu = self.mu + metric_increment(0, llrs, mode)
             self.bits[:, out] = 0
             return
-        parent, fork, self.mu = _fork_prune(
-            self.mu + metric_increment(0, llrs, mode),
-            self.mu + metric_increment(1, llrs, mode),
-            self.cfg.list_size,
-        )
+        keep, fork = self.mu + metric_increment(_BIT_PAIR, llrs, mode)
+        parent, fork, self.mu = _fork_prune(keep, fork, self.cfg.list_size)
         self._permute(parent)
         self.bits[:, out] = fork
 

@@ -52,15 +52,16 @@ class _LutOps:
             raise LutMismatchError("channel symbol out of alphabet range")
         return msgs.astype(np.int16)
 
-    def f_update(self, node, a, b):
+    def f_update(self, node, a, b, out):
         if self.msib:
-            return msib_f_index(a, b, self.size).astype(np.int16)
-        self.touched_decoding.add(node.f_edge_id)
-        return self._table(node.f_edge_id)[a, b]
+            out[...] = msib_f_index(a, b, self.size)
+        else:
+            self.touched_decoding.add(node.f_edge_id)
+            out[...] = self._table(node.f_edge_id)[a, b]
 
-    def g_update(self, node, a, b, bit):
+    def g_update(self, node, a, b, bit, out):
         self.touched_decoding.add(node.g_edge_id)
-        return self._table(node.g_edge_id)[a, b, np.asarray(bit, dtype=np.int64)]
+        out[...] = self._table(node.g_edge_id)[a, b, bit]
 
     def leaf_llrs(self, node, msgs):
         try:

@@ -380,19 +380,20 @@ def msib_f_index(t1, t2, alphabet_size: int):
     """Closed-form f update on message indices of an odd-symmetric alphabet.
 
     Output sign is the product of the input signs, output magnitude rank the
-    smaller of the input ranks; reproduces the min-sum rule exactly.
+    smaller of the input ranks; reproduces the min-sum rule exactly. Computed
+    in the inputs' integer dtype, which holds every index, so nothing overflows.
     """
     if alphabet_size < 2 or alphabet_size % 2:
         raise LutDesignError("index rule needs an even alphabet size")
-    t1 = np.asarray(t1, dtype=np.int64)
-    t2 = np.asarray(t2, dtype=np.int64)
+    t1 = np.asarray(t1)
+    t2 = np.asarray(t2)
     half = alphabet_size // 2
     up1, up2 = t1 >= half, t2 >= half
     mag1 = np.where(up1, t1 - half, half - 1 - t1)
     mag2 = np.where(up2, t2 - half, half - 1 - t2)
     mag = np.minimum(mag1, mag2)
     positive = up1 == up2
-    return np.where(positive, half + mag, half - 1 - mag).astype(np.int64)
+    return np.where(positive, half + mag, half - 1 - mag)
 
 
 @dataclass
@@ -491,25 +492,44 @@ def save_lutset(lutset: LutSet, path):
 
 
 def load_lutset(path) -> LutSet:
+    """Read a LUT set written by ``save_lutset``. Every table is checked here,
+    so a bad file fails with a ``LutDesignError`` naming the key, not mid-decode."""
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("format") != LUTSET_FORMAT:
         raise LutDesignError(f"unrecognized LUT file format {doc.get('format')!r}")
-    size = 1 << doc["w"]
+    w = doc.get("w")
+    if type(w) is not int or not 1 <= w <= 15:  # int16 messages hold 2^w levels
+        raise LutDesignError(f"'w' must be an integer in [1, 15], got {w!r}")
+    size = 1 << w
     decoding = {}
     for key, entry in doc["decoding_tables"].items():
-        table = np.array(entry["table"], dtype=np.int16)
-        shape = (size, size) if entry["arity"] == 2 else (size, size, 2)
-        decoding[int(key)] = table.reshape(shape)
-    translation = {
-        int(k): np.array(v, dtype=np.float64) for k, v in doc["translation_tables"].items()
-    }
+        arity = entry.get("arity")
+        if arity not in (2, 3):
+            raise LutDesignError(f"decoding table {key}: arity must be 2 or 3, got {arity!r}")
+        shape = (size, size) if arity == 2 else (size, size, 2)
+        table = np.asarray(entry.get("table"))
+        if table.dtype.kind != "i" or table.shape != (np.prod(shape),):
+            raise LutDesignError(f"decoding table {key}: arity {arity} at w={w} needs "
+                                 f"{np.prod(shape)} integer entries")
+        if table.min() < 0 or table.max() >= size:
+            raise LutDesignError(f"decoding table {key}: entries must lie in [0, {size})")
+        decoding[int(key)] = table.astype(np.int16).reshape(shape)
+    translation = {}
+    for key, llrs in doc["translation_tables"].items():
+        try:
+            alphabet = MessageAlphabet(llrs)
+        except LutDesignError as err:
+            raise LutDesignError(f"translation table {key}: {err}") from None
+        if alphabet.size != size:
+            raise LutDesignError(f"translation table {key}: {alphabet.size} LLRs, w={w} needs {size}")
+        translation[int(key)] = alphabet.llr_table
     return LutSet(
         block_len=doc["block_len"],
         payload_len=doc["payload_len"],
         crc_len=doc["crc_len"],
         variant=doc["variant"],
-        w=doc["w"],
+        w=w,
         design_ebn0_db=doc["design_ebn0_db"],
         schedule_hash=doc["schedule_hash"],
         channel_thresholds=np.array(doc["channel_thresholds"], dtype=np.float64),

@@ -61,7 +61,8 @@ class NodeSpec:
 
 @dataclass
 class TreeNode:
-    """Internal recursive form: leaves carry a leaf id, interior nodes edge ids."""
+    """Internal recursive form: leaves carry a leaf id, interior nodes edge ids.
+    ``kind`` is the span's pattern, also on interior nodes (R0: all frozen)."""
 
     depth: int
     span_start: int
@@ -130,7 +131,7 @@ def build_tree(code: PolarCode, enabled_kinds=ALL_NODE_KINDS) -> DecoderTree:
             node = TreeNode(depth, lo, size, kind, leaf_id=len(schedule))
             schedule.append(NodeSpec(len(schedule) + 1, depth, size, lo, kind))
             return node
-        node = TreeNode(depth, lo, size, NodeKind.SC)
+        node = TreeNode(depth, lo, size, kind)
         node.f_edge_id = len(edge_kinds)
         edge_kinds.append("f")
         node.left = rec(lo, size // 2, depth + 1)

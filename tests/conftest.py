@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import fapolar as fp
+
+# Property tests draw the same examples on every run, so Tier-1 is reproducible.
+settings.register_profile("fapolar", derandomize=True, deadline=None, max_examples=60)
+settings.load_profile("fapolar")
 
 
 @pytest.fixture(scope="session")

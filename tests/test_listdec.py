@@ -1,5 +1,6 @@
 """List decoder tests against independent brute-force oracles."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -289,3 +290,33 @@ def test_ca_select_prefers_crc_pass():
         if ok:
             assert fp.crc_check(code, info)
     assert hits > 0  # CRC really does rescue non-top candidates sometimes
+
+
+# sha256 prefixes of metrics.tobytes() and x_hats.tobytes() over 20 frames,
+# recorded before the in-place kernels and the level-wise all-frozen subtrees.
+# "r1,rep,spc" leaves frozen interior nodes to the level-wise path.
+PINNED_DIGESTS = {
+    ("sc", "exact"): ("94f935d7a09e4a41", "bec0fc451ddec627"),
+    ("sc", "approx"): ("a58758c8f73ff2c2", "3f4f60fe35a98388"),
+    ("", "exact"): ("94f935d7a09e4a41", "bec0fc451ddec627"),
+    ("", "approx"): ("a58758c8f73ff2c2", "3f4f60fe35a98388"),
+    ("r1,rep,spc", "exact"): ("68b1d0b6e0f8f9f0", "1116caca36e2538b"),
+    ("r1,rep,spc", "approx"): ("67cbf1fe4963024f", "3f4f60fe35a98388"),
+    ("r0,r1,rep,spc", "exact"): ("68ea256d5be78c2a", "1f1927cf9ec702b3"),
+    ("r0,r1,rep,spc", "approx"): ("586e6ff285cdc483", "3f4f60fe35a98388"),
+}
+
+
+@pytest.mark.parametrize("kinds,mode", sorted(PINNED_DIGESTS))
+def test_decodes_bit_identical_to_pinned_digests(kinds, mode):
+    code = fp.construct(256, 128, 16)
+    cfg = fp.ListConfig(list_size=8, metric_mode=mode)
+    tree = None if kinds == "sc" else fp.build_tree(code, fp.parse_kinds(kinds))
+    metrics, x_hats = hashlib.sha256(), hashlib.sha256()
+    for trial in range(20):
+        _, _, y = noisy_frame(code, 0.8, seed=(900, trial))
+        llr = 2.0 * y / 0.8 ** 2
+        res = fp.scl_decode(code, llr, cfg) if tree is None else fp.fscl_decode(code, tree, llr, cfg)
+        metrics.update(res.metrics.tobytes())
+        x_hats.update(res.x_hats.tobytes())
+    assert (metrics.hexdigest()[:16], x_hats.hexdigest()[:16]) == PINNED_DIGESTS[kinds, mode]

@@ -1,6 +1,8 @@
 """Table design tests: DP optimality, symmetry invariants, density evolution."""
 
 import itertools
+import json
+import re
 
 import numpy as np
 import pytest
@@ -249,6 +251,26 @@ def test_msib_index_rule_examples():
         msib_f_index(0, 0, 7)
 
 
+def msib_f_index_int64(t1, t2, alphabet_size):
+    """The index rule evaluated in int64, as first written."""
+    t1 = np.asarray(t1, dtype=np.int64)
+    t2 = np.asarray(t2, dtype=np.int64)
+    half = alphabet_size // 2
+    up1, up2 = t1 >= half, t2 >= half
+    mag = np.minimum(np.where(up1, t1 - half, half - 1 - t1),
+                     np.where(up2, t2 - half, half - 1 - t2))
+    return np.where(up1 == up2, half + mag, half - 1 - mag)
+
+
+@pytest.mark.parametrize("w", range(1, 7))
+def test_msib_index_in_message_dtype_equals_int64_form(w):
+    size = 1 << w
+    t1, t2 = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
+    out = msib_f_index(t1.astype(np.int16), t2.astype(np.int16), size)
+    assert out.dtype == np.int16
+    assert np.array_equal(out, msib_f_index_int64(t1, t2, size))
+
+
 def test_msib_index_commutes_with_translation_sign(channel4):
     _, dist = channel4
     llr = dist.alphabet.llr_table
@@ -363,3 +385,76 @@ def test_load_rejects_wrong_format(tmp_path):
     bad.write_text('{"format": "other"}')
     with pytest.raises(LutDesignError):
         load_lutset(bad)
+
+
+# ---------------------------------------------------------------------------
+# LUT files are validated when loaded
+
+@pytest.fixture(scope="module")
+def lut_doc(tmp_path_factory, code8):
+    path = tmp_path_factory.mktemp("lut") / "ib.json"
+    save_lutset(design_lutset(code8, fp.build_tree(code8, {"R0", "R1"}), "ib", 0.5, W4), path)
+    return json.loads(path.read_text())
+
+
+def set_w(value):
+    def edit(doc):
+        doc["w"] = value
+        return "'w'"
+    return edit
+
+
+def set_decoding_entry(value):
+    def edit(doc):
+        key = min(doc["decoding_tables"], key=int)
+        doc["decoding_tables"][key]["table"][5] = value
+        return f"decoding table {key}"
+    return edit
+
+
+def set_arity(value):
+    def edit(doc):
+        key = min(doc["decoding_tables"], key=int)
+        doc["decoding_tables"][key]["arity"] = value
+        return f"decoding table {key}"
+    return edit
+
+
+def set_translation(values):
+    def edit(doc):
+        key = min(doc["translation_tables"], key=int)
+        doc["translation_tables"][key] = values
+        return f"translation table {key}"
+    return edit
+
+
+@pytest.mark.parametrize("edit,message", [
+    (set_w(0), "integer in [1, 15]"),
+    (set_w(16), "integer in [1, 15]"),
+    (set_w(20), "integer in [1, 15]"),
+    (set_w(4.0), "integer in [1, 15]"),
+    (set_arity(4), "arity must be 2 or 3"),
+    (set_arity(3), "integer entries"),            # arity 3 needs twice the entries
+    (set_decoding_entry(-3), "in [0, 16)"),       # used to index from the end
+    (set_decoding_entry(16), "in [0, 16)"),
+    (set_decoding_entry(2.5), "integer entries"),
+    (set_translation([-1.0, 1.0]), "w=4 needs 16"),
+    (set_translation([float(v) for v in range(-8, 8)]), "odd-symmetric"),
+    (set_translation([float(v) for v in range(8, -8, -1)]), "strictly increasing"),
+], ids=["w0", "w16", "w20", "w-float", "arity4", "arity-shape", "entry-negative",
+        "entry-too-large", "entry-float", "translation-size", "translation-asymmetric",
+        "translation-decreasing"])
+def test_load_rejects_invalid_tables(tmp_path, lut_doc, edit, message):
+    doc = json.loads(json.dumps(lut_doc))
+    names = edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(LutDesignError, match=re.escape(message)) as err:
+        load_lutset(path)
+    assert names in str(err.value)
+
+
+def test_load_accepts_saved_set(tmp_path, lut_doc):
+    path = tmp_path / "good.json"
+    path.write_text(json.dumps(lut_doc))
+    assert load_lutset(path).w == W4
