@@ -8,7 +8,9 @@ message arithmetic and translate messages to LLRs at the leaves.
 
 All constituent decoders use the hardware-friendly approximate path metric.
 Candidate order is deterministic: parent path first, fork flag 0 before 1,
-and ties in the pruning sort keep that order.
+and ties in the pruning sort keep that order. The rate-1 and SPC decoders
+split on their least reliable bits (Hashemi, Condo & Gross, IEEE TSP 2017),
+stop once a split leaves the list in place, and flip the survivors' bits once.
 
 Every fork copies the path state, so it holds only what the rest of the walk
 reads (Tal & Vardy's per-depth layout, LLR form). Messages into the current
@@ -87,20 +89,37 @@ def decode_rep(metrics, alpha, list_size):
     return parent, mu, beta
 
 
+def _flip_splits(hard, order, origin, splits, first):
+    """Survivor words: the origin path's hard decision, with the bit of split k
+    (sorted position ``first + k``) flipped where the survivor's lineage forked."""
+    flips = np.empty((origin.size, len(splits)), dtype=np.uint8)
+    idx = np.arange(origin.size)
+    for k, (parent, fork) in reversed(list(enumerate(splits))):  # walk lineages back once
+        flips[:, k] = fork[idx]
+        idx = parent[idx]
+    beta = hard[origin]
+    beta[np.arange(origin.size)[:, None], order[origin, first:first + len(splits)]] ^= flips
+    return beta
+
+
 def decode_rate1(metrics, alpha, list_size):
-    """All-information span: split on the min(L-1, size) least reliable bits."""
+    """All-information span: split on the min(L-1, size) least reliable bits,
+    up to a split that forks no path and keeps the list in place. That stop is
+    exact, ties included: per path the magnitudes ascend, so no later fork is
+    cheaper, and a list kept in place is sorted, so no later tied fork gets in."""
     alpha = np.atleast_2d(alpha)
     order = np.argsort(np.abs(alpha), axis=1, kind="stable")
     mag = np.take_along_axis(np.abs(alpha), order, axis=1)  # sorted per row
-    beta = hard_decision(alpha)
     mu = np.asarray(metrics, dtype=np.float64).copy()
-    parent = np.arange(alpha.shape[0])
+    origin = np.arange(alpha.shape[0])
+    splits = []
     for step in range(min(list_size - 1, alpha.shape[1])):
-        sel, fork, mu = _fork_prune(mu, mu + mag[parent, step], list_size)
-        parent, beta = parent[sel], beta[sel]
-        flip = fork == 1
-        beta[flip, order[parent[flip], step]] ^= 1
-    return parent, mu, beta
+        parent, fork, new_mu = _fork_prune(mu, mu + mag[origin, step], list_size)
+        if not fork.any() and np.array_equal(parent, np.arange(mu.size)):
+            break
+        splits.append((parent, fork))
+        origin, mu = origin[parent], new_mu
+    return origin, mu, _flip_splits(hard_decision(alpha), order, origin, splits, 0)
 
 
 def decode_spc(metrics, alpha, list_size):
@@ -111,28 +130,31 @@ def decode_spc(metrics, alpha, list_size):
     positions. Each split toggles whether the least reliable bit needs
     flipping, so the running parity state of a path decides the sign of the
     |alpha_min| term in its fork increment. The least reliable bit is set
-    last to restore even parity.
+    last to restore even parity. Splitting stops as in ``decode_rate1``,
+    exactly too: a path's parity term is fixed while it does not fork.
     """
     alpha = np.atleast_2d(alpha)
     order = np.argsort(np.abs(alpha), axis=1, kind="stable")
     mag = np.take_along_axis(np.abs(alpha), order, axis=1)  # sorted per row
-    beta = hard_decision(alpha)
+    hard = hard_decision(alpha)
     min_mag = mag[:, 0]
-    parity = np.bitwise_xor.reduce(beta, axis=1)
+    parity = np.bitwise_xor.reduce(hard, axis=1)
     mu = np.asarray(metrics, dtype=np.float64) + parity * min_mag
-    parent = np.arange(alpha.shape[0])
+    origin = np.arange(alpha.shape[0])
+    splits = []
     for step in range(1, min(list_size, alpha.shape[1])):
-        cost = mag[parent, step] + (1.0 - 2.0 * parity) * min_mag[parent]
-        sel, fork, mu = _fork_prune(mu, mu + cost, list_size)
-        parent, beta, parity = parent[sel], beta[sel], parity[sel]
-        flip = fork == 1
-        beta[flip, order[parent[flip], step]] ^= 1
-        parity[flip] ^= 1
+        cost = mag[origin, step] + (1.0 - 2.0 * parity) * min_mag[origin]
+        parent, fork, new_mu = _fork_prune(mu, mu + cost, list_size)
+        if not fork.any() and np.array_equal(parent, np.arange(mu.size)):
+            break
+        splits.append((parent, fork))
+        origin, parity, mu = origin[parent], parity[parent] ^ fork, new_mu
+    beta = _flip_splits(hard, order, origin, splits, 1)
     rows = np.arange(beta.shape[0])
-    min_pos = order[parent, 0]
+    min_pos = order[origin, 0]
     beta[rows, min_pos] = 0
     beta[rows, min_pos] = np.bitwise_xor.reduce(beta, axis=1)
-    return parent, mu, beta
+    return origin, mu, beta
 
 
 _BIT_PAIR = np.array([[0], [1]])  # one metric_increment call prices both decisions
@@ -265,10 +287,19 @@ class ListEngine:
         self.bits[:, out] = fork
 
 
+_SC_TREES = {}  # frozen mask bytes -> sc_tree, for scl_decode without a tree
+
+
 def scl_decode(code: PolarCode, y_llr, cfg: ListConfig, tree: DecoderTree = None) -> DecodeResult:
-    """Conventional SCL on the unpruned schedule."""
+    """Conventional SCL on the unpruned schedule (built once per frozen pattern,
+    16 patterns kept, when no ``tree`` is given)."""
     if tree is None:
-        tree = sc_tree(code)
+        key = code.frozen_mask.tobytes()
+        if key not in _SC_TREES:
+            if len(_SC_TREES) >= 16:
+                _SC_TREES.clear()
+            _SC_TREES[key] = sc_tree(code)
+        tree = _SC_TREES[key]
     elif tree.enabled_kinds:
         raise ValueError("scl_decode expects a tree without special nodes")
     return ListEngine(code, tree, cfg, _FloatOps(cfg.metric_mode)).decode(y_llr)

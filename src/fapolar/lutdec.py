@@ -1,11 +1,16 @@
 """Finite-alphabet list decoding driven by designed lookup tables.
 
 Control flow is identical to the floating-point decoders: interior f/g
-updates become table lookups on w-bit integer messages (or index arithmetic
-for the MSIB f update), and each leaf translates its messages to LLRs before
-the usual metric updates or constituent decoding. Path metrics stay
-floating-point.
+updates become table lookups on w-bit integer messages, and each leaf
+translates its messages to LLRs before the usual metric updates or constituent
+decoding. Path metrics stay floating-point.
+
+The MSIB f update is the index rule ``msib_f_index`` on every edge, tabulated
+once per alphabet size at run time: not a designed table, so neither stored,
+nor recorded in ``touched_decoding``, nor counted by ``table_counts``.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,6 +29,17 @@ def quantize_rx(thresholds, y_real) -> np.ndarray:
     thresholds = np.asarray(thresholds, dtype=np.float64)
     return np.searchsorted(thresholds, np.asarray(y_real, dtype=np.float64),
                            side="left").astype(np.int16)
+
+
+@lru_cache(maxsize=None)
+def _msib_f_rule(alphabet_size: int) -> np.ndarray:
+    """Read-only (size, size) tabulation of ``msib_f_index``. Built at the
+    first f update, so it exists only beside the set's (size, size, 2) g
+    tables, each twice its size."""
+    idx = np.arange(alphabet_size, dtype=np.int16)
+    rule = msib_f_index(idx[:, None], idx[None, :], alphabet_size)  # int16, as its inputs
+    rule.flags.writeable = False
+    return rule
 
 
 class _LutOps:
@@ -54,7 +70,7 @@ class _LutOps:
 
     def f_update(self, node, a, b, out):
         if self.msib:
-            out[...] = msib_f_index(a, b, self.size)
+            out[...] = _msib_f_rule(self.size)[a, b]
         else:
             self.touched_decoding.add(node.f_edge_id)
             out[...] = self._table(node.f_edge_id)[a, b]

@@ -134,17 +134,18 @@ def test_constituent_decoders_match_brute_force(kind, decoder):
                 assert got == want_set
 
 
-def test_spc_matches_brute_force_at_list_two():
+def test_spc_matches_brute_force():
     rng = np.random.default_rng(43)
-    for size in (4, 8):
-        for _ in range(200):
-            n_in = int(rng.integers(1, 3))
-            metrics = np.sort(rng.uniform(0, 2, n_in))
-            alpha = rng.normal(0, 2, (n_in, size))
-            parent, mu, beta = decode_spc(metrics, alpha, 2)
-            want = sorted((round(m, 9), p, w)
-                          for m, p, w in brute_force_survivors("SPC", metrics, alpha, 2))
-            assert survivors_as_set(parent, mu, beta) == want
+    for list_size in (2, 3, 4, 8):
+        for size in (4, 8):
+            for _ in range(200):
+                n_in = int(rng.integers(1, list_size + 1))
+                metrics = np.sort(rng.uniform(0, 2, n_in))
+                alpha = rng.normal(0, 2, (n_in, size))
+                parent, mu, beta = decode_spc(metrics, alpha, list_size)
+                want = sorted((round(m, 9), p, w) for m, p, w in
+                              brute_force_survivors("SPC", metrics, alpha, list_size))
+                assert survivors_as_set(parent, mu, beta) == want
 
 
 def test_spc_always_even_parity_with_true_costs():
@@ -275,6 +276,26 @@ def test_scl_rejects_special_tree(code8):
     with pytest.raises(ValueError):
         fp.scl_decode(code8, np.zeros(8), fp.ListConfig(list_size=2),
                       tree=fp.build_tree(code8))
+
+
+def test_scl_decode_builds_sc_tree_once_per_code(code8, monkeypatch):
+    from fapolar import listdec, tree
+    calls = []
+    build_tree = tree.build_tree
+
+    def counting_build_tree(*args, **kwargs):
+        calls.append(args)
+        return build_tree(*args, **kwargs)
+
+    monkeypatch.setattr(tree, "build_tree", counting_build_tree)
+    monkeypatch.setattr(listdec, "_SC_TREES", {})
+    cfg = fp.ListConfig(list_size=2)
+    _, _, y = noisy_frame(code8, sigma=0.8, seed=5)
+    first = fp.scl_decode(code8, y, cfg)
+    second = fp.scl_decode(code8, y, cfg)
+    assert len(calls) == 1
+    assert np.array_equal(first.x_hats, second.x_hats)
+    assert np.array_equal(first.metrics, second.metrics)
 
 
 def test_ca_select_prefers_crc_pass():

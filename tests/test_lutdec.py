@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import fapolar as fp
-from fapolar.lutdec import LutMismatchError, lut_fscl_decode, lut_scl_decode, quantize_rx
-from fapolar.lutdesign import design_lutset
+from fapolar.lutdec import (LutMismatchError, _msib_f_rule, lut_fscl_decode, lut_scl_decode,
+                            quantize_rx)
+from fapolar.lutdesign import design_lutset, msib_f_index
 
 from conftest import noisy_frame
 
@@ -91,6 +92,10 @@ def test_touched_tables_audit(n64_setup):
                           msib_fast, cfg)
     assert res.touched_decoding == set(msib_fast.decoding_tables.keys())
     assert len(res.touched_decoding) == fast.g_edge_count
+    # the tabulated f rule is no designed table: only g edges are touched, and
+    # with the channel quantizer they make the advertised msib count
+    assert res.touched_decoding == {e for e, kind in enumerate(fast.edge_kinds) if kind == "g"}
+    assert fp.table_counts(fast, "msib")[0] == len(res.touched_decoding) + 1
     assert res.touched_translation == set(range(fast.leaf_count))
 
     res = lut_fscl_decode(code, sc, quantize_rx(msib_sc.channel_thresholds, y),
@@ -99,6 +104,17 @@ def test_touched_tables_audit(n64_setup):
     # channel quantizer that is exactly the advertised msib decoding count
     assert len(res.touched_decoding) == sc.g_edge_count == 63
     assert len(res.touched_translation) == 64
+
+
+@pytest.mark.parametrize("w", range(1, 7))
+def test_msib_f_rule_tabulates_index_rule(w):
+    size = 1 << w
+    rule = _msib_f_rule(size)
+    t1, t2 = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
+    assert rule.dtype == np.int16 and rule.shape == (size, size)
+    assert np.array_equal(rule, msib_f_index(t1, t2, size))
+    assert not rule.flags.writeable
+    assert _msib_f_rule(size) is rule  # tabulated once per alphabet size
 
 
 def test_textbook_fast_tree_touches_two_of_each(code8):

@@ -1,5 +1,6 @@
 """Property tests (hypothesis): the list engine against a node-by-node
-reference walk, and the arithmetic kernels' in-place forms against their
+reference walk, the rate-1/SPC constituent decoders against their
+split-by-split form, and the arithmetic kernels' in-place forms against their
 allocating forms. Examples are derandomized (see conftest)."""
 
 import dataclasses
@@ -10,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 import fapolar as fp
 from fapolar.arith import LLR_CLIP, combine_bits, f_exact, f_minsum, g_func, metric_increment
+from fapolar.listdec import decode_rate1, decode_spc
 
 LLRS = st.floats(-2 * LLR_CLIP, 2 * LLR_CLIP, allow_nan=False)  # past the clip, with +-0.0
 
@@ -69,6 +71,77 @@ def test_engine_equals_reference_walk_bit_for_bit(frame, list_size, mode):
     x_hats, metrics = reference_scl(llr, code.frozen_mask, list_size, mode)
     assert same_bits(res.x_hats, x_hats)
     assert same_bits(res.metrics, metrics)
+
+
+# ---------------------------------------------------------------------------
+# rate-1 / SPC decoders vs their split-by-split form
+
+def stepwise_prune(keep, fork, list_size):
+    cands = np.stack([keep, fork], axis=1).ravel()
+    sel = np.argsort(cands, kind="stable")[:list_size]
+    return sel // 2, (sel % 2).astype(np.uint8), cands[sel]
+
+
+def stepwise_rate1(metrics, alpha, list_size):
+    """Every one of the min(L-1, size) splits, flipping ``beta`` as it goes."""
+    order = np.argsort(np.abs(alpha), axis=1, kind="stable")
+    mag = np.take_along_axis(np.abs(alpha), order, axis=1)
+    beta = (alpha < 0).astype(np.uint8)
+    mu = np.asarray(metrics, dtype=np.float64).copy()
+    parent = np.arange(alpha.shape[0])
+    for step in range(min(list_size - 1, alpha.shape[1])):
+        sel, fork, mu = stepwise_prune(mu, mu + mag[parent, step], list_size)
+        parent, beta = parent[sel], beta[sel]
+        flip = fork == 1
+        beta[flip, order[parent[flip], step]] ^= 1
+    return parent, mu, beta
+
+
+def stepwise_spc(metrics, alpha, list_size):
+    """Every one of the min(L, size) - 1 splits, tracking parity per path."""
+    order = np.argsort(np.abs(alpha), axis=1, kind="stable")
+    mag = np.take_along_axis(np.abs(alpha), order, axis=1)
+    beta = (alpha < 0).astype(np.uint8)
+    min_mag = mag[:, 0]
+    parity = np.bitwise_xor.reduce(beta, axis=1)
+    mu = np.asarray(metrics, dtype=np.float64) + parity * min_mag
+    parent = np.arange(alpha.shape[0])
+    for step in range(1, min(list_size, alpha.shape[1])):
+        cost = mag[parent, step] + (1.0 - 2.0 * parity) * min_mag[parent]
+        sel, fork, mu = stepwise_prune(mu, mu + cost, list_size)
+        parent, beta, parity = parent[sel], beta[sel], parity[sel]
+        flip = fork == 1
+        beta[flip, order[parent[flip], step]] ^= 1
+        parity[flip] ^= 1
+    rows = np.arange(beta.shape[0])
+    min_pos = order[parent, 0]
+    beta[rows, min_pos] = 0
+    beta[rows, min_pos] = np.bitwise_xor.reduce(beta, axis=1)
+    return parent, mu, beta
+
+
+# 16 odd-symmetric levels, as a 4-bit translation table gives: magnitudes tie often
+LEVELS16 = np.array([-4.0, -3.0, -2.0, -1.5, -1.0, -0.75, -0.5, -0.25,
+                     0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0])
+
+
+@st.composite
+def span_inputs(draw):
+    """(incoming metrics, tied and unsorted; span LLRs; list size)."""
+    list_size = draw(st.sampled_from([1, 2, 3, 4, 8, 32]))
+    size = draw(st.sampled_from([2, 4, 8, 16, 32, 64]))
+    paths = draw(st.integers(1, list_size))
+    metrics = draw(hnp.arrays(np.float64, paths, elements=st.sampled_from([0.0, 0.25, 0.5, 1.0])))
+    levels = draw(hnp.arrays(np.int8, (paths, size), elements=st.integers(0, 15)))
+    return metrics, LEVELS16[levels], list_size
+
+
+@given(span_inputs(), st.sampled_from(["r1", "spc"]))
+def test_rate1_spc_equal_split_by_split_form_in_order(inputs, kind):
+    decoder, reference = {"r1": (decode_rate1, stepwise_rate1),
+                          "spc": (decode_spc, stepwise_spc)}[kind]
+    for got, want in zip(decoder(*inputs), reference(*inputs), strict=True):
+        assert same_bits(got, want)  # parent, mu, beta
 
 
 # ---------------------------------------------------------------------------
