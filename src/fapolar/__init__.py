@@ -34,12 +34,11 @@ from .listdec import (
     DecodeResult,
     ListConfig,
     ca_select,
+    decode,
     decode_rate0,
     decode_rate1,
     decode_rep,
     decode_spc,
-    fscl_decode,
-    scl_decode,
 )
 
 __version__ = "0.1.0"

@@ -11,8 +11,9 @@ from functools import partial
 from .codes import CodeConstructionError
 from .listdec import ListConfig
 from .lutdesign import LutDesignError, design_lutset, load_lutset, save_lutset
-from .sim import DecoderSpec, SimResult, code_from_options, sweep, write_csv, write_json
-from .tree import ALL_NODE_KINDS, build_tree, dump_schedule, parse_kinds, sc_tree, table_counts
+from .sim import (DecoderSpec, SimResult, code_from_options, schedule_tree, sweep, write_csv,
+                  write_json)
+from .tree import dump_schedule
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -29,17 +30,10 @@ def _add_code_options(parser):
                         help="CRC polynomial, e.g. 0x1021 (default: CCITT family)")
 
 
-def _tree_for(args, code):
-    if getattr(args, "schedule", "fast") == "sc":
-        return sc_tree(code)
-    kinds = ALL_NODE_KINDS if args.nodes is None else parse_kinds(args.nodes)
-    return build_tree(code, kinds)
-
-
 def _cmd_tree(args):
     code = code_from_options(args.n, args.k, args.crc, args.rate_profile,
                              args.crc_poly)
-    tree = _tree_for(args, code)
+    tree = schedule_tree(code, "fast", args.nodes)
     print("i_v\td\tkind\tN_v\tspan_start")
     for row in dump_schedule(tree):
         print("\t".join(str(v) for v in row))
@@ -58,7 +52,7 @@ def _cmd_tables(args):
 def _cmd_design(args):
     code = code_from_options(args.n, args.k, args.crc, args.rate_profile,
                              args.crc_poly)
-    tree = _tree_for(args, code)
+    tree = schedule_tree(code, args.schedule, args.nodes)
     lutset = design_lutset(code, tree, args.variant, args.ebn0, args.w,
                            grid_cells=args.grid)
     save_lutset(lutset, args.out)

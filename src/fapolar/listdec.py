@@ -1,10 +1,10 @@
-"""Floating-point SC / SCL / fast-SCL decoding.
+"""SC / SCL / fast-SCL decoding: one entry point, ``decode``.
 
-The list engine walks a (possibly pruned) decoder tree. Interior nodes apply
-the f/g updates; leaves either fork paths bit-by-bit (single-bit leaves) or
-run a one-shot constituent decoder (rate-0, rate-1, repetition, single parity
-check). The same walk drives the lookup-table decoders, which only swap the
-message arithmetic and translate messages to LLRs at the leaves.
+The list engine walks a decoder tree, unpruned (SCL) or pruned (fast SCL).
+Interior nodes apply the f/g updates; leaves either fork paths bit-by-bit
+(single-bit leaves) or run a one-shot constituent decoder (rate-0, rate-1,
+repetition, single parity check). Given a LUT set, the walk swaps the LLR
+arithmetic for table lookups (``lutdec``) and translates messages at leaves.
 
 All constituent decoders use the hardware-friendly approximate path metric.
 Candidate order is deterministic: parent path first, fork flag 0 before 1,
@@ -26,7 +26,9 @@ import numpy as np
 
 from .arith import f_exact, f_minsum, g_func, combine_bits, hard_decision, metric_increment
 from .codes import PolarCode, polar_transform, extract_info_bits, crc_check
-from .tree import DecoderTree, NodeKind, sc_tree
+from .lutdec import _LutOps
+from .lutdesign import LutSet
+from .tree import DecoderTree, NodeKind
 
 
 @dataclass(frozen=True)
@@ -108,8 +110,9 @@ def decode_rate1(metrics, alpha, list_size):
     exact, ties included: per path the magnitudes ascend, so no later fork is
     cheaper, and a list kept in place is sorted, so no later tied fork gets in."""
     alpha = np.atleast_2d(alpha)
-    order = np.argsort(np.abs(alpha), axis=1, kind="stable")
-    mag = np.take_along_axis(np.abs(alpha), order, axis=1)  # sorted per row
+    mag = np.abs(alpha)
+    order = np.argsort(mag, axis=1, kind="stable")
+    mag.sort(axis=1)
     mu = np.asarray(metrics, dtype=np.float64).copy()
     origin = np.arange(alpha.shape[0])
     splits = []
@@ -134,8 +137,9 @@ def decode_spc(metrics, alpha, list_size):
     exactly too: a path's parity term is fixed while it does not fork.
     """
     alpha = np.atleast_2d(alpha)
-    order = np.argsort(np.abs(alpha), axis=1, kind="stable")
-    mag = np.take_along_axis(np.abs(alpha), order, axis=1)  # sorted per row
+    mag = np.abs(alpha)
+    order = np.argsort(mag, axis=1, kind="stable")
+    mag.sort(axis=1)
     hard = hard_decision(alpha)
     min_mag = mag[:, 0]
     parity = np.bitwise_xor.reduce(hard, axis=1)
@@ -171,6 +175,7 @@ class _FloatOps:
     """Message arithmetic for LLR-domain decoding; updates write into ``out``."""
 
     dtype = np.float64
+    levelwise_frozen = True  # all-frozen interior nodes evaluate level by level
 
     def __init__(self, metric_mode: str):
         self.f = f_minsum if metric_mode == "approx" else f_exact
@@ -241,7 +246,7 @@ class ListEngine:
                     self._permute(parent)
                 self.bits[:, out:out + size] = beta
             return
-        if node.kind is NodeKind.R0 and isinstance(self.ops, _FloatOps):
+        if node.kind is NodeKind.R0 and self.ops.levelwise_frozen:
             self._frozen_subtree(self._inputs(size), out, size)
             return
         half = size // 2
@@ -287,27 +292,14 @@ class ListEngine:
         self.bits[:, out] = fork
 
 
-_SC_TREES = {}  # frozen mask bytes -> sc_tree, for scl_decode without a tree
-
-
-def scl_decode(code: PolarCode, y_llr, cfg: ListConfig, tree: DecoderTree = None) -> DecodeResult:
-    """Conventional SCL on the unpruned schedule (built once per frozen pattern,
-    16 patterns kept, when no ``tree`` is given)."""
-    if tree is None:
-        key = code.frozen_mask.tobytes()
-        if key not in _SC_TREES:
-            if len(_SC_TREES) >= 16:
-                _SC_TREES.clear()
-            _SC_TREES[key] = sc_tree(code)
-        tree = _SC_TREES[key]
-    elif tree.enabled_kinds:
-        raise ValueError("scl_decode expects a tree without special nodes")
-    return ListEngine(code, tree, cfg, _FloatOps(cfg.metric_mode)).decode(y_llr)
-
-
-def fscl_decode(code: PolarCode, tree: DecoderTree, y_llr, cfg: ListConfig) -> DecodeResult:
-    """List decoding on a pruned schedule with one-shot constituent decoders."""
-    return ListEngine(code, tree, cfg, _FloatOps(cfg.metric_mode)).decode(y_llr)
+def decode(code: PolarCode, tree: DecoderTree, msgs, cfg: ListConfig,
+           lutset: LutSet = None) -> DecodeResult:
+    """List decoding of one frame on any schedule (``sc_tree(code)`` for
+    conventional SCL). ``msgs`` are channel LLRs, or with a ``lutset`` quantized
+    channel symbols, decoded by table lookups; the set is checked against the
+    code and tree before the walk."""
+    ops = _FloatOps(cfg.metric_mode) if lutset is None else _LutOps(code, tree, lutset)
+    return ListEngine(code, tree, cfg, ops).decode(msgs)
 
 
 def ca_select(code: PolarCode, result: DecodeResult):

@@ -1,9 +1,11 @@
-"""Finite-alphabet list decoding driven by designed lookup tables.
+"""Finite-alphabet message arithmetic driven by designed lookup tables.
 
-Control flow is identical to the floating-point decoders: interior f/g
-updates become table lookups on w-bit integer messages, and each leaf
-translates its messages to LLRs before the usual metric updates or constituent
-decoding. Path metrics stay floating-point.
+``listdec.decode`` given a LUT set walks the tree as it does on LLRs, with
+these ops: interior f/g updates become table lookups on w-bit integer
+messages, and each leaf translates its messages to LLRs before the usual
+metric updates or constituent decoding. Path metrics stay floating-point.
+The set is checked against the code and tree before the walk, so a missing
+or mis-shaped table is a ``LutMismatchError`` naming its edge or leaf.
 
 The MSIB f update is the index rule ``msib_f_index`` on every edge, tabulated
 once per alphabet size at run time: not a designed table, so neither stored,
@@ -15,7 +17,6 @@ from functools import lru_cache
 import numpy as np
 
 from .codes import PolarCode
-from .listdec import DecodeResult, ListConfig, ListEngine
 from .lutdesign import LutSet, msib_f_index
 from .tree import DecoderTree
 
@@ -43,22 +44,19 @@ def _msib_f_rule(alphabet_size: int) -> np.ndarray:
 
 
 class _LutOps:
-    """Message arithmetic backed by a LutSet; records the table ids it uses."""
+    """Message arithmetic backed by a LutSet, checked before any lookup;
+    records the table ids it uses."""
 
     dtype = np.int16
+    levelwise_frozen = False  # tables are per edge, so frozen nodes walk node by node
 
-    def __init__(self, lutset: LutSet):
+    def __init__(self, code: PolarCode, tree: DecoderTree, lutset: LutSet):
+        _check_match(code, tree, lutset)
         self.lutset = lutset
         self.msib = lutset.variant == "msib"
         self.size = lutset.alphabet_size
         self.touched_decoding = set()
         self.touched_translation = set()
-
-    def _table(self, edge_id):
-        try:
-            return self.lutset.decoding_tables[edge_id]
-        except KeyError:
-            raise LutMismatchError(f"missing decoding table for edge {edge_id}") from None
 
     def root_messages(self, y):
         msgs = np.asarray(y)
@@ -73,44 +71,39 @@ class _LutOps:
             out[...] = _msib_f_rule(self.size)[a, b]
         else:
             self.touched_decoding.add(node.f_edge_id)
-            out[...] = self._table(node.f_edge_id)[a, b]
+            out[...] = self.lutset.decoding_tables[node.f_edge_id][a, b]
 
     def g_update(self, node, a, b, bit, out):
         self.touched_decoding.add(node.g_edge_id)
-        out[...] = self._table(node.g_edge_id)[a, b, bit]
+        out[...] = self.lutset.decoding_tables[node.g_edge_id][a, b, bit]
 
     def leaf_llrs(self, node, msgs):
-        try:
-            table = self.lutset.translation_tables[node.leaf_id]
-        except KeyError:
-            raise LutMismatchError(f"missing translation table for leaf {node.leaf_id}") from None
         self.touched_translation.add(node.leaf_id)
-        return table[msgs]
+        return self.lutset.translation_tables[node.leaf_id][msgs]
 
-    def note_result(self, result: DecodeResult):
+    def note_result(self, result):
         result.touched_decoding = self.touched_decoding
         result.touched_translation = self.touched_translation
 
 
 def _check_match(code: PolarCode, tree: DecoderTree, lutset: LutSet):
+    """The set belongs to this code and schedule and holds every table the walk
+    looks up: an arity-3 table per g edge, an arity-2 one per f edge of an IB
+    set (MSIB f edges use the index rule), and translation ids 0..leaves-1."""
     if lutset.block_len != code.block_len or lutset.payload_len != code.payload_len \
             or lutset.crc_len != code.crc_len:
         raise LutMismatchError("LUT set was designed for a different code")
     if lutset.schedule_hash != tree.schedule_hash():
         raise LutMismatchError("LUT set was designed for a different schedule")
-
-
-def lut_scl_decode(code: PolarCode, tree: DecoderTree, y_msgs, lutset: LutSet,
-                   cfg: ListConfig) -> DecodeResult:
-    """LUT-based SCL on the unpruned schedule."""
-    if tree.enabled_kinds:
-        raise ValueError("lut_scl_decode expects a tree without special nodes")
-    return lut_fscl_decode(code, tree, y_msgs, lutset, cfg)
-
-
-def lut_fscl_decode(code: PolarCode, tree: DecoderTree, y_msgs, lutset: LutSet,
-                    cfg: ListConfig) -> DecodeResult:
-    """LUT-based list decoding on any schedule; special leaves translate their
-    messages to LLRs and run the constituent decoders with approximate metrics."""
-    _check_match(code, tree, lutset)
-    return ListEngine(code, tree, cfg, _LutOps(lutset)).decode(y_msgs)
+    size = lutset.alphabet_size
+    for edge_id, kind in enumerate(tree.edge_kinds):
+        shape = (size, size, 2) if kind == "g" else (size, size)
+        table = lutset.decoding_tables.get(edge_id)
+        if (kind == "g" or lutset.variant == "ib") and getattr(table, "shape", None) != shape:
+            raise LutMismatchError(f"{kind} edge {edge_id} needs an arity-{len(shape)} "
+                                   f"decoding table of {size} levels")
+    leaves = range(tree.leaf_count)
+    if sorted(lutset.translation_tables) != list(leaves):
+        leaf = min(set(leaves) ^ set(lutset.translation_tables))
+        raise LutMismatchError(f"translation table ids must be 0..{tree.leaf_count - 1}: "
+                               f"leaf {leaf} is missing or extra")

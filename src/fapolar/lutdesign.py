@@ -491,19 +491,39 @@ def save_lutset(lutset: LutSet, path):
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
 
 
+def _field(doc, key, *types):
+    """``doc[key]``, of one of ``types`` (a JSON true is no int here)."""
+    if key not in doc:
+        raise LutDesignError(f"missing key {key!r}")
+    if type(doc[key]) not in types:
+        raise LutDesignError(f"{key!r} must be {' or '.join(t.__name__ for t in types)}, "
+                             f"got {type(doc[key]).__name__}")
+    return doc[key]
+
+
 def load_lutset(path) -> LutSet:
-    """Read a LUT set written by ``save_lutset``. Every table is checked here,
-    so a bad file fails with a ``LutDesignError`` naming the key, not mid-decode."""
+    """Read a LUT set written by ``save_lutset``. Every key is checked here, so
+    a bad file fails with a ``LutDesignError`` naming the key, not mid-decode."""
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("format") != LUTSET_FORMAT:
-        raise LutDesignError(f"unrecognized LUT file format {doc.get('format')!r}")
+    if type(doc) is not dict or doc.get("format") != LUTSET_FORMAT:
+        raise LutDesignError("unrecognized LUT file format")
     w = doc.get("w")
     if type(w) is not int or not 1 <= w <= 15:  # int16 messages hold 2^w levels
         raise LutDesignError(f"'w' must be an integer in [1, 15], got {w!r}")
     size = 1 << w
+    variant = _field(doc, "variant", str)
+    if variant not in ("ib", "msib"):
+        raise LutDesignError(f"'variant' must be 'ib' or 'msib', got {variant!r}")
+    thresholds = _field(doc, "channel_thresholds", list)
+    if len(thresholds) != size - 1 or any(type(t) is not float for t in thresholds) \
+            or not np.all(np.isfinite(thresholds)) or not np.all(np.diff(thresholds) > 0):
+        raise LutDesignError(f"'channel_thresholds' must be {size - 1} finite, "
+                             f"strictly increasing floats at w={w}")
     decoding = {}
-    for key, entry in doc["decoding_tables"].items():
+    for key, entry in _field(doc, "decoding_tables", dict).items():
+        if type(entry) is not dict:
+            raise LutDesignError(f"decoding table {key}: must be a JSON object")
         arity = entry.get("arity")
         if arity not in (2, 3):
             raise LutDesignError(f"decoding table {key}: arity must be 2 or 3, got {arity!r}")
@@ -516,23 +536,23 @@ def load_lutset(path) -> LutSet:
             raise LutDesignError(f"decoding table {key}: entries must lie in [0, {size})")
         decoding[int(key)] = table.astype(np.int16).reshape(shape)
     translation = {}
-    for key, llrs in doc["translation_tables"].items():
+    for key, llrs in _field(doc, "translation_tables", dict).items():
         try:
             alphabet = MessageAlphabet(llrs)
-        except LutDesignError as err:
+        except (LutDesignError, TypeError, ValueError) as err:
             raise LutDesignError(f"translation table {key}: {err}") from None
         if alphabet.size != size:
             raise LutDesignError(f"translation table {key}: {alphabet.size} LLRs, w={w} needs {size}")
         translation[int(key)] = alphabet.llr_table
     return LutSet(
-        block_len=doc["block_len"],
-        payload_len=doc["payload_len"],
-        crc_len=doc["crc_len"],
-        variant=doc["variant"],
+        block_len=_field(doc, "block_len", int),
+        payload_len=_field(doc, "payload_len", int),
+        crc_len=_field(doc, "crc_len", int),
+        variant=variant,
         w=w,
-        design_ebn0_db=doc["design_ebn0_db"],
-        schedule_hash=doc["schedule_hash"],
-        channel_thresholds=np.array(doc["channel_thresholds"], dtype=np.float64),
+        design_ebn0_db=float(_field(doc, "design_ebn0_db", int, float)),
+        schedule_hash=_field(doc, "schedule_hash", str),
+        channel_thresholds=np.array(thresholds, dtype=np.float64),
         decoding_tables=decoding,
         translation_tables=translation,
     )

@@ -18,10 +18,10 @@ from itertools import islice
 import numpy as np
 
 from .codes import CrcConfig, PolarCode, assemble_u, construct, encode, load_sequence
-from .listdec import ListConfig, ca_select, fscl_decode
-from .lutdec import lut_fscl_decode, quantize_rx
+from .listdec import ListConfig, ca_select, decode
+from .lutdec import quantize_rx
 from .lutdesign import LutSet, load_lutset
-from .tree import build_tree, parse_kinds, sc_tree
+from .tree import ALL_NODE_KINDS, DecoderTree, build_tree, parse_kinds
 
 
 @dataclass(frozen=True)
@@ -60,18 +60,22 @@ class DecoderSpec:
             raise ValueError("quantized decoders need a LUT file")
 
 
+def schedule_tree(code: PolarCode, schedule: str, node_kinds: str = None) -> DecoderTree:
+    """The decode tree of a schedule: "sc" is the unpruned tree, "fast" prunes
+    the spans of ``node_kinds`` (all kinds when None; an empty list prunes none,
+    which is the unpruned tree again)."""
+    if schedule == "sc":
+        return build_tree(code, frozenset())
+    return build_tree(code, ALL_NODE_KINDS if node_kinds is None else parse_kinds(node_kinds))
+
+
 class FrameDecoder:
     """Decode one frame of channel outputs to a payload guess (CRC-aided pick)."""
 
     def __init__(self, code: PolarCode, spec: DecoderSpec, lutset: LutSet = None):
         self.code = code
         self.spec = spec
-        if spec.schedule == "sc":
-            self.tree = sc_tree(code)
-        else:
-            # an empty node list is a valid choice: it degenerates to the
-            # unpruned schedule
-            self.tree = build_tree(code, parse_kinds(spec.node_kinds))
+        self.tree = schedule_tree(code, spec.schedule, spec.node_kinds)
         self.cfg = ListConfig(list_size=spec.list_size, metric_mode=spec.metric_mode)
         self.lutset = lutset
         if spec.family != "llr":
@@ -84,11 +88,10 @@ class FrameDecoder:
 
     def __call__(self, y_real: np.ndarray, sigma: float) -> np.ndarray:
         if self.lutset is not None:
-            symbols = quantize_rx(self.lutset.channel_thresholds, y_real)
-            result = lut_fscl_decode(self.code, self.tree, symbols, self.lutset, self.cfg)
+            msgs = quantize_rx(self.lutset.channel_thresholds, y_real)
         else:
-            llr = 2.0 * y_real / (sigma * sigma)
-            result = fscl_decode(self.code, self.tree, llr, self.cfg)
+            msgs = 2.0 * y_real / (sigma * sigma)
+        result = decode(self.code, self.tree, msgs, self.cfg, self.lutset)
         _, info, _ = ca_select(self.code, result)
         return info[: self.code.payload_len]
 

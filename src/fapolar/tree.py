@@ -84,7 +84,6 @@ class DecoderTree:
     """Pruned decode schedule plus the edge/leaf numbering used for table files."""
 
     block_len: int
-    enabled_kinds: frozenset
     root: TreeNode
     schedule: tuple
     edge_kinds: tuple          # edge id -> "f" | "g", in activation order
@@ -143,7 +142,6 @@ def build_tree(code: PolarCode, enabled_kinds=ALL_NODE_KINDS) -> DecoderTree:
     root = rec(0, code.block_len, 0)
     return DecoderTree(
         block_len=code.block_len,
-        enabled_kinds=enabled,
         root=root,
         schedule=tuple(schedule),
         edge_kinds=tuple(edge_kinds),

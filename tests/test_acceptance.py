@@ -16,7 +16,7 @@ from scipy.special import ndtr
 
 import fapolar as fp
 from fapolar.listdec import decode_rate0, decode_rate1, decode_rep, decode_spc
-from fapolar.lutdec import lut_fscl_decode, quantize_rx
+from fapolar.lutdec import quantize_rx
 from fapolar.lutdesign import (
     design_lutset,
     load_lutset,
@@ -89,6 +89,7 @@ def test_criterion_04_equivalence_suite():
     cfg = fp.ListConfig(list_size=4, metric_mode="approx")
     tree_r0rep = fp.build_tree(code, {"R0", "Rep"})
     tree_r0r1rep = fp.build_tree(code, {"R0", "R1", "Rep"})
+    sc = fp.sc_tree(code)
     sigma = ChannelModel(2.5, code.rate).sigma
     same_r0rep = 0
     same_r0r1rep = 0
@@ -96,11 +97,11 @@ def test_criterion_04_equivalence_suite():
     for trial in range(frames):
         _, _, y = noisy_frame(code, sigma=sigma, seed=(40, trial))
         llr = 2.0 * y / sigma ** 2
-        ref = fp.scl_decode(code, llr, cfg)
+        ref = fp.decode(code, sc, llr, cfg)
         ref_set = {tuple(row) for row in ref.x_hats}
-        a = fp.fscl_decode(code, tree_r0rep, llr, cfg)
+        a = fp.decode(code, tree_r0rep, llr, cfg)
         same_r0rep += {tuple(r) for r in a.x_hats} == ref_set
-        b = fp.fscl_decode(code, tree_r0r1rep, llr, cfg)
+        b = fp.decode(code, tree_r0r1rep, llr, cfg)
         same_r0r1rep += {tuple(r) for r in b.x_hats} == ref_set
     assert same_r0rep == frames
     assert same_r0r1rep >= 0.999 * frames
@@ -348,7 +349,7 @@ def test_criterion_10_lut_roundtrip(tmp_path, code8):
     for trial in range(100):
         _, _, y = noisy_frame(code, sigma=sigma, seed=(101, trial))
         symbols = quantize_rx(lutset.channel_thresholds, y)
-        res_a = lut_fscl_decode(code, tree, symbols, lutset, cfg)
-        res_b = lut_fscl_decode(code, tree, symbols, loaded, cfg)
+        res_a = fp.decode(code, tree, symbols, cfg, lutset)
+        res_b = fp.decode(code, tree, symbols, cfg, loaded)
         assert np.array_equal(res_a.u_hats, res_b.u_hats)
         assert np.array_equal(res_a.metrics, res_b.metrics)

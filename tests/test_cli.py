@@ -95,6 +95,17 @@ def test_config_errors_exit_2(capsys, tmp_path):
         assert want_rc == 0 or repr(key) in err
 
 
+def test_malformed_lut_file_exits_2(capsys, tmp_path):
+    lut_file = tmp_path / "lut.json"
+    run_cli(capsys, "design", "--n", "8", "--k", "3", "--crc", "1", "--variant", "ib",
+            "--ebn0", "0.5", "--w", "4", "--out", str(lut_file))
+    doc = json.loads(lut_file.read_text())
+    del doc["schedule_hash"]
+    lut_file.write_text(json.dumps(doc))
+    rc, _, err = run_cli(capsys, "tables", "--lut", str(lut_file))
+    assert rc == 2 and "'schedule_hash'" in err
+
+
 def test_io_errors_exit_3(capsys):
     rc, _, err = run_cli(capsys, "tables", "--lut", "/nonexistent/file.json")
     assert rc == 3

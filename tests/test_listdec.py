@@ -185,11 +185,12 @@ def test_fork_prune_keeps_smallest_with_stable_ties():
 def test_scl_noiseless_recovers_input(code8):
     rng = np.random.default_rng(6)
     cfg = fp.ListConfig(list_size=4, metric_mode="approx")
+    sc = fp.sc_tree(code8)
     for _ in range(10):
         payload = rng.integers(0, 2, 3, dtype=np.uint8)
         u = fp.assemble_u(code8, payload)
         llr = 29.0 * (1.0 - 2.0 * fp.encode(code8, u).astype(np.float64))
-        res = fp.scl_decode(code8, llr, cfg)
+        res = fp.decode(code8, sc, llr, cfg)
         assert np.array_equal(res.u_hats[0], u)
         assert res.metrics[0] == 0.0
 
@@ -199,10 +200,11 @@ def test_scl_full_list_reaches_ml_metric(code8):
     # agrees with exhaustive maximum likelihood under the min-sum metric
     rng = np.random.default_rng(7)
     cfg = fp.ListConfig(list_size=16, metric_mode="approx")
+    sc = fp.sc_tree(code8)
     for trial in range(25):
         _, _, y = noisy_frame(code8, sigma=1.0, seed=(100, trial))
         llr = 2.0 * y
-        res = fp.scl_decode(code8, llr, cfg)
+        res = fp.decode(code8, sc, llr, cfg)
         assert len(res) == 16
         assert abs(res.metrics[0] - ml_metric_oracle(code8, llr)) < 1e-9
 
@@ -211,34 +213,39 @@ def test_scl_list_one_equals_reference_sc():
     rng = np.random.default_rng(8)
     code = fp.construct(32, 13, 0)
     cfg = fp.ListConfig(list_size=1, metric_mode="approx")
+    sc = fp.sc_tree(code)
     for trial in range(50):
         _, _, y = noisy_frame(code, sigma=0.9, seed=(200, trial))
         llr = 2.0 * y / 0.81
-        res = fp.scl_decode(code, llr, cfg)
+        res = fp.decode(code, sc, llr, cfg)
         assert np.array_equal(res.u_hats[0], sc_decode_reference(code, llr))
 
 
 def test_metrics_nonnegative_nondecreasing_and_pruned_correctly():
     code = fp.construct(64, 30, 0)
     cfg = fp.ListConfig(list_size=8, metric_mode="approx")
+    sc = fp.sc_tree(code)
     for trial in range(20):
         _, _, y = noisy_frame(code, sigma=1.0, seed=(300, trial))
-        res = fp.scl_decode(code, 2.0 * y, cfg)
+        res = fp.decode(code, sc, 2.0 * y, cfg)
         assert len(res) == 8
         assert np.all(res.metrics >= 0)
         assert np.all(np.diff(res.metrics) >= 0)
 
 
 def test_fscl_empty_kinds_identical_to_scl():
+    # "SC schedule = fast tree with no special nodes": both spellings decode alike
     code = fp.construct(64, 24, 8)
     sc = fp.sc_tree(code)
+    empty = fp.build_tree(code, frozenset())
+    assert empty.schedule_hash() == sc.schedule_hash()
     for mode in ("approx", "exact"):
         cfg = fp.ListConfig(list_size=4, metric_mode=mode)
         for trial in range(30):
             _, _, y = noisy_frame(code, sigma=0.9, seed=(400, trial))
             llr = 2.0 * y / 0.81
-            a = fp.scl_decode(code, llr, cfg)
-            b = fp.fscl_decode(code, sc, llr, cfg)
+            a = fp.decode(code, sc, llr, cfg)
+            b = fp.decode(code, empty, llr, cfg)
             assert np.array_equal(a.u_hats, b.u_hats)
             assert np.array_equal(a.metrics, b.metrics)
 
@@ -248,7 +255,7 @@ def test_fscl_textbook_tree_touches_two_nodes(code8):
     assert tree.leaf_count == 2
     cfg = fp.ListConfig(list_size=4)
     _, _, y = noisy_frame(code8, sigma=0.8, seed=500)
-    res = fp.fscl_decode(code8, tree, 2.0 * y, cfg)
+    res = fp.decode(code8, tree, 2.0 * y, cfg)
     assert len(res) <= 4
     # both constituent outputs must be valid for their node types; the root
     # combine maps them to x = [beta_l ^ beta_r, beta_r]
@@ -262,49 +269,25 @@ def test_fscl_textbook_tree_touches_two_nodes(code8):
 def test_fscl_r0_rep_frame_identical_to_scl():
     code = fp.construct(64, 24, 8)
     tree = fp.build_tree(code, {"R0", "Rep"})
+    sc = fp.sc_tree(code)
     cfg = fp.ListConfig(list_size=4)
     for trial in range(100):
         _, _, y = noisy_frame(code, sigma=0.95, seed=(600, trial))
         llr = 2.0 * y / (0.95 ** 2)
-        a = fp.scl_decode(code, llr, cfg)
-        b = fp.fscl_decode(code, tree, llr, cfg)
+        a = fp.decode(code, sc, llr, cfg)
+        b = fp.decode(code, tree, llr, cfg)
         assert {tuple(r) for r in a.x_hats} == {tuple(r) for r in b.x_hats}
         assert np.allclose(np.sort(a.metrics), np.sort(b.metrics), atol=1e-9)
-
-
-def test_scl_rejects_special_tree(code8):
-    with pytest.raises(ValueError):
-        fp.scl_decode(code8, np.zeros(8), fp.ListConfig(list_size=2),
-                      tree=fp.build_tree(code8))
-
-
-def test_scl_decode_builds_sc_tree_once_per_code(code8, monkeypatch):
-    from fapolar import listdec, tree
-    calls = []
-    build_tree = tree.build_tree
-
-    def counting_build_tree(*args, **kwargs):
-        calls.append(args)
-        return build_tree(*args, **kwargs)
-
-    monkeypatch.setattr(tree, "build_tree", counting_build_tree)
-    monkeypatch.setattr(listdec, "_SC_TREES", {})
-    cfg = fp.ListConfig(list_size=2)
-    _, _, y = noisy_frame(code8, sigma=0.8, seed=5)
-    first = fp.scl_decode(code8, y, cfg)
-    second = fp.scl_decode(code8, y, cfg)
-    assert len(calls) == 1
-    assert np.array_equal(first.x_hats, second.x_hats)
-    assert np.array_equal(first.metrics, second.metrics)
 
 
 def test_ca_select_prefers_crc_pass():
     code = fp.construct(64, 16, 16)
     cfg = fp.ListConfig(list_size=8)
+    sc = fp.sc_tree(code)
     hits = 0
     for trial in range(50):
         payload, _, y = noisy_frame(code, sigma=0.85, seed=(700, trial))
-        res = fp.scl_decode(code, 2.0 * y / 0.85 ** 2, cfg)
+        res = fp.decode(code, sc, 2.0 * y / 0.85 ** 2, cfg)
         idx, info, ok = fp.ca_select(code, res)
         if ok and idx > 0:
             hits += 1
@@ -332,12 +315,12 @@ PINNED_DIGESTS = {
 def test_decodes_bit_identical_to_pinned_digests(kinds, mode):
     code = fp.construct(256, 128, 16)
     cfg = fp.ListConfig(list_size=8, metric_mode=mode)
-    tree = None if kinds == "sc" else fp.build_tree(code, fp.parse_kinds(kinds))
+    tree = fp.sc_tree(code) if kinds == "sc" else fp.build_tree(code, fp.parse_kinds(kinds))
     metrics, x_hats = hashlib.sha256(), hashlib.sha256()
     for trial in range(20):
         _, _, y = noisy_frame(code, 0.8, seed=(900, trial))
         llr = 2.0 * y / 0.8 ** 2
-        res = fp.scl_decode(code, llr, cfg) if tree is None else fp.fscl_decode(code, tree, llr, cfg)
+        res = fp.decode(code, tree, llr, cfg)
         metrics.update(res.metrics.tobytes())
         x_hats.update(res.x_hats.tobytes())
     assert (metrics.hexdigest()[:16], x_hats.hexdigest()[:16]) == PINNED_DIGESTS[kinds, mode]

@@ -1,11 +1,14 @@
 """Integer-message decoding tests, float decoders as oracles."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
 import fapolar as fp
-from fapolar.lutdec import (LutMismatchError, _msib_f_rule, lut_fscl_decode, lut_scl_decode,
-                            quantize_rx)
+from fapolar.listdec import ListEngine
+from fapolar.lutdec import LutMismatchError, _msib_f_rule, quantize_rx
 from fapolar.lutdesign import design_lutset, msib_f_index
 
 from conftest import noisy_frame
@@ -56,12 +59,43 @@ def test_lut_decoder_refuses_mismatched_set(n64_setup, n64_ib):
     cfg = fp.ListConfig(list_size=2)
     symbols = np.zeros(64, dtype=np.int16)
     with pytest.raises(LutMismatchError):
-        lut_fscl_decode(code, sc, symbols, fast_set, cfg)
+        fp.decode(code, sc, symbols, cfg, fast_set)
     other = fp.construct(64, 20, 8)
     with pytest.raises(LutMismatchError):
-        lut_fscl_decode(other, fp.sc_tree(other), symbols, sc_set, cfg)
+        fp.decode(other, fp.sc_tree(other), symbols, cfg, sc_set)
     with pytest.raises(LutMismatchError):
-        lut_fscl_decode(code, sc, np.zeros(64), sc_set, cfg)  # float input
+        fp.decode(code, sc, np.zeros(64), cfg, sc_set)  # float input
+
+
+@pytest.mark.parametrize("case", ["g-dropped", "f-arity-3", "leaf-dropped", "leaf-extra"])
+def test_uncovered_set_refused_before_walk(n64_setup, n64_ib, monkeypatch, case):
+    # coverage is checked when the ops are built: the error names the edge or
+    # leaf, and no node is visited (a swapped arity used to be an IndexError
+    # in the middle of the walk)
+    code, _, fast = n64_setup
+    _, fast_set = n64_ib
+    lutset = dataclasses.replace(fast_set, decoding_tables=dict(fast_set.decoding_tables),
+                                 translation_tables=dict(fast_set.translation_tables))
+    f_edge, g_edge = (fast.edge_kinds.index(kind) for kind in "fg")
+    if case == "g-dropped":
+        del lutset.decoding_tables[g_edge]
+        name = f"g edge {g_edge}"
+    elif case == "f-arity-3":
+        lutset.decoding_tables[f_edge] = np.zeros((16, 16, 2), dtype=np.int16)
+        name = f"f edge {f_edge}"
+    elif case == "leaf-dropped":
+        del lutset.translation_tables[fast.leaf_count - 1]
+        name = f"leaf {fast.leaf_count - 1}"
+    else:
+        lutset.translation_tables[fast.leaf_count] = lutset.translation_tables[0]
+        name = f"leaf {fast.leaf_count}"
+
+    def walk(*args):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(ListEngine, "_walk", walk)
+    with pytest.raises(LutMismatchError, match=re.escape(name) + r"\b"):
+        fp.decode(code, fast, np.zeros(64, dtype=np.int16), fp.ListConfig(list_size=2), lutset)
 
 
 def test_lut_decode_strong_channel_error_free(n64_setup, n64_ib):
@@ -74,7 +108,7 @@ def test_lut_decode_strong_channel_error_free(n64_setup, n64_ib):
     for trial in range(1000):
         payload, _, y = noisy_frame(code, sigma=sigma, seed=(1000, trial))
         symbols = quantize_rx(sc_set.channel_thresholds, y)
-        res = lut_scl_decode(code, sc, symbols, sc_set, cfg)
+        res = fp.decode(code, sc, symbols, cfg, sc_set)
         _, info, _ = fp.ca_select(code, res)
         if not np.array_equal(info[: code.payload_len], payload):
             errors += 1
@@ -88,8 +122,7 @@ def test_touched_tables_audit(n64_setup):
     cfg = fp.ListConfig(list_size=4)
     _, _, y = noisy_frame(code, sigma=0.8, seed=42)
 
-    res = lut_fscl_decode(code, fast, quantize_rx(msib_fast.channel_thresholds, y),
-                          msib_fast, cfg)
+    res = fp.decode(code, fast, quantize_rx(msib_fast.channel_thresholds, y), cfg, msib_fast)
     assert res.touched_decoding == set(msib_fast.decoding_tables.keys())
     assert len(res.touched_decoding) == fast.g_edge_count
     # the tabulated f rule is no designed table: only g edges are touched, and
@@ -98,8 +131,7 @@ def test_touched_tables_audit(n64_setup):
     assert fp.table_counts(fast, "msib")[0] == len(res.touched_decoding) + 1
     assert res.touched_translation == set(range(fast.leaf_count))
 
-    res = lut_fscl_decode(code, sc, quantize_rx(msib_sc.channel_thresholds, y),
-                          msib_sc, cfg)
+    res = fp.decode(code, sc, quantize_rx(msib_sc.channel_thresholds, y), cfg, msib_sc)
     # every stored table is a g table and all of them are used: with the
     # channel quantizer that is exactly the advertised msib decoding count
     assert len(res.touched_decoding) == sc.g_edge_count == 63
@@ -122,8 +154,7 @@ def test_textbook_fast_tree_touches_two_of_each(code8):
     lutset = design_lutset(code8, tree, "ib", 0.5, W4)
     cfg = fp.ListConfig(list_size=4)
     _, _, y = noisy_frame(code8, sigma=0.9, seed=7)
-    res = lut_fscl_decode(code8, tree, quantize_rx(lutset.channel_thresholds, y),
-                          lutset, cfg)
+    res = fp.decode(code8, tree, quantize_rx(lutset.channel_thresholds, y), cfg, lutset)
     assert len(res.touched_decoding) == 2
     assert len(res.touched_translation) == 2
 
@@ -140,21 +171,23 @@ def test_root_leaf_translation_matches_float_bit_for_bit():
     rng = np.random.default_rng(5)
     for _ in range(50):
         symbols = rng.integers(0, 16, 16).astype(np.int16)
-        lut_res = lut_fscl_decode(code, tree, symbols, lutset, cfg)
-        float_res = fp.fscl_decode(code, tree, table[symbols], cfg)
+        lut_res = fp.decode(code, tree, symbols, cfg, lutset)
+        float_res = fp.decode(code, tree, table[symbols], cfg)
         assert np.array_equal(lut_res.u_hats, float_res.u_hats)
         assert np.allclose(lut_res.metrics, float_res.metrics)
 
 
 def test_lut_fscl_empty_kinds_equals_lut_scl(n64_setup, n64_ib):
+    # a fast tree with no special nodes is the SC schedule: the SC set fits it
     code, sc, _ = n64_setup
     sc_set, _ = n64_ib
+    empty = fp.build_tree(code, frozenset())
     cfg = fp.ListConfig(list_size=4)
     for trial in range(20):
         _, _, y = noisy_frame(code, sigma=0.9, seed=(1100, trial))
         symbols = quantize_rx(sc_set.channel_thresholds, y)
-        a = lut_scl_decode(code, sc, symbols, sc_set, cfg)
-        b = lut_fscl_decode(code, sc, symbols, sc_set, cfg)
+        a = fp.decode(code, sc, symbols, cfg, sc_set)
+        b = fp.decode(code, empty, symbols, cfg, sc_set)
         assert np.array_equal(a.u_hats, b.u_hats)
         assert np.array_equal(a.metrics, b.metrics)
 
@@ -169,10 +202,10 @@ def test_lut_scl_supports_exact_metric_mode(n64_setup, n64_ib):
     for trial in range(50):
         _, _, y = noisy_frame(code, sigma=0.95, seed=(1500, trial))
         symbols = quantize_rx(sc_set.channel_thresholds, y)
-        exact = lut_scl_decode(code, sc, symbols, sc_set,
-                               fp.ListConfig(list_size=4, metric_mode="exact"))
-        approx = lut_scl_decode(code, sc, symbols, sc_set,
-                                fp.ListConfig(list_size=4, metric_mode="approx"))
+        exact = fp.decode(code, sc, symbols,
+                          fp.ListConfig(list_size=4, metric_mode="exact"), sc_set)
+        approx = fp.decode(code, sc, symbols,
+                           fp.ListConfig(list_size=4, metric_mode="approx"), sc_set)
         assert np.all(np.diff(exact.metrics) >= 0)
         assert np.all(exact.metrics >= 0)
         diffs += not np.array_equal(exact.u_hats, approx.u_hats)
@@ -199,9 +232,9 @@ def test_fast_lut_decode_tracks_float_fast_decode(n64_setup, n64_ib):
     trials = 300
     for trial in range(trials):
         payload, _, y = noisy_frame(code, sigma=sigma, seed=(1200, trial))
-        res_lut = lut_fscl_decode(code, fast, quantize_rx(fast_set.channel_thresholds, y),
-                                  fast_set, cfg)
-        res_float = fp.fscl_decode(code, fast, 2.0 * y / sigma ** 2, cfg)
+        res_lut = fp.decode(code, fast, quantize_rx(fast_set.channel_thresholds, y), cfg,
+                            fast_set)
+        res_float = fp.decode(code, fast, 2.0 * y / sigma ** 2, cfg)
         _, info_l, _ = fp.ca_select(code, res_lut)
         _, info_f, _ = fp.ca_select(code, res_float)
         agree += np.array_equal(info_l, info_f)
@@ -223,11 +256,9 @@ def test_r0_only_tree_tracks_sc_schedule(n64_setup):
     trials = 1000
     for trial in range(trials):
         _, _, y = noisy_frame(code, sigma=sigma, seed=(1400, trial))
-        res_sc = lut_scl_decode(code, sc, quantize_rx(sc_set.channel_thresholds, y),
-                                sc_set, cfg)
-        res_r0 = lut_fscl_decode(code, r0only,
-                                 quantize_rx(r0_set.channel_thresholds, y),
-                                 r0_set, cfg)
+        res_sc = fp.decode(code, sc, quantize_rx(sc_set.channel_thresholds, y), cfg, sc_set)
+        res_r0 = fp.decode(code, r0only, quantize_rx(r0_set.channel_thresholds, y), cfg,
+                           r0_set)
         _, info_a, _ = fp.ca_select(code, res_sc)
         _, info_b, _ = fp.ca_select(code, res_r0)
         agree += np.array_equal(info_a, info_b)
@@ -244,9 +275,8 @@ def test_w8_lut_scl_nearly_lossless(n64_setup):
     trials = 1000
     for trial in range(trials):
         _, _, y = noisy_frame(code, sigma=sigma, seed=(1300, trial))
-        res_lut = lut_scl_decode(code, sc, quantize_rx(lutset.channel_thresholds, y),
-                                 lutset, cfg)
-        res_float = fp.scl_decode(code, 2.0 * y / sigma ** 2, cfg)
+        res_lut = fp.decode(code, sc, quantize_rx(lutset.channel_thresholds, y), cfg, lutset)
+        res_float = fp.decode(code, sc, 2.0 * y / sigma ** 2, cfg)
         _, info_l, _ = fp.ca_select(code, res_lut)
         _, info_f, _ = fp.ca_select(code, res_float)
         agree += np.array_equal(info_l, info_f)
@@ -261,10 +291,10 @@ def test_u_hats_are_transform_of_x_hats(n64_setup, n64_ib):
     for trial in range(10):
         _, _, y = noisy_frame(code, sigma=0.9, seed=(900, trial))
         llr = 2.0 * y / 0.81
-        results = [fp.scl_decode(code, llr, cfg), fp.fscl_decode(code, fast, llr, cfg)]
+        results = [fp.decode(code, sc, llr, cfg), fp.decode(code, fast, llr, cfg)]
         for tree, lutset in zip((sc, fast), n64_ib):
             symbols = quantize_rx(lutset.channel_thresholds, y)
-            results.append(lut_fscl_decode(code, tree, symbols, lutset, cfg))
+            results.append(fp.decode(code, tree, symbols, cfg, lutset))
         for res in results:
             assert res.u_hats.shape == res.x_hats.shape == (len(res), code.block_len)
             for u_hat, x_hat in zip(res.u_hats, res.x_hats):

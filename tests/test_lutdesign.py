@@ -428,6 +428,28 @@ def set_translation(values):
     return edit
 
 
+def set_key(name, value):
+    def edit(doc):
+        doc[name] = value(doc) if callable(value) else value
+        return repr(name)
+    return edit
+
+
+def drop_key(name):
+    def edit(doc):
+        del doc[name]
+        return repr(name)
+    return edit
+
+
+def set_decoding_table(value):
+    def edit(doc):
+        key = min(doc["decoding_tables"], key=int)
+        doc["decoding_tables"][key] = value
+        return f"decoding table {key}"
+    return edit
+
+
 @pytest.mark.parametrize("edit,message", [
     (set_w(0), "integer in [1, 15]"),
     (set_w(16), "integer in [1, 15]"),
@@ -441,9 +463,26 @@ def set_translation(values):
     (set_translation([-1.0, 1.0]), "w=4 needs 16"),
     (set_translation([float(v) for v in range(-8, 8)]), "odd-symmetric"),
     (set_translation([float(v) for v in range(8, -8, -1)]), "strictly increasing"),
+    (set_translation("llrs"), "could not convert"),
+    (set_decoding_table([0, 1, 2]), "must be a JSON object"),
+    (drop_key("schedule_hash"), "missing key"),
+    (drop_key("decoding_tables"), "missing key"),
+    (set_key("block_len", "8"), "must be int"),
+    (set_key("design_ebn0_db", None), "must be int or float"),
+    (set_key("translation_tables", []), "must be dict"),
+    (set_key("variant", "xyz"), "'ib' or 'msib'"),
+    (set_key("channel_thresholds", lambda doc: doc["channel_thresholds"][::-1]),
+     "strictly increasing"),
+    (set_key("channel_thresholds", [-1.0, 0.0, 1.0]), "15 finite"),
+    (set_key("channel_thresholds", lambda doc: doc["channel_thresholds"][:-1] + [1e999]),
+     "finite"),
+    (set_key("channel_thresholds", list(range(-7, 8))), "floats"),
 ], ids=["w0", "w16", "w20", "w-float", "arity4", "arity-shape", "entry-negative",
         "entry-too-large", "entry-float", "translation-size", "translation-asymmetric",
-        "translation-decreasing"])
+        "translation-decreasing", "translation-string", "decoding-entry-list",
+        "missing-schedule-hash", "missing-decoding-tables", "block-len-string",
+        "ebn0-null", "translation-tables-list", "variant-unknown", "thresholds-unsorted",
+        "thresholds-short", "thresholds-infinite", "thresholds-ints"])
 def test_load_rejects_invalid_tables(tmp_path, lut_doc, edit, message):
     doc = json.loads(json.dumps(lut_doc))
     names = edit(doc)

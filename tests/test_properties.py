@@ -67,7 +67,8 @@ def frames(draw):
 @given(frames(), st.sampled_from([1, 2, 4, 8]), st.sampled_from(["approx", "exact"]))
 def test_engine_equals_reference_walk_bit_for_bit(frame, list_size, mode):
     code, llr = frame
-    res = fp.scl_decode(code, llr, fp.ListConfig(list_size=list_size, metric_mode=mode))
+    res = fp.decode(code, fp.sc_tree(code), llr,
+                    fp.ListConfig(list_size=list_size, metric_mode=mode))
     x_hats, metrics = reference_scl(llr, code.frozen_mask, list_size, mode)
     assert same_bits(res.x_hats, x_hats)
     assert same_bits(res.metrics, metrics)
