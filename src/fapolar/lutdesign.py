@@ -3,9 +3,11 @@
 A w-bit message alphabet stands in for LLRs. The channel output and every
 f/g update along the decoder tree are quantized by placing 2^w - 1 boundaries
 in the sorted meta-LLR space so that the mutual information between the
-relevant bit and the quantizer output is maximal (dynamic program, optimal
-for a sorted space). Each pruned-tree edge yields a decoding table, each
-leaf a translation table mapping messages back to LLRs.
+relevant bit and the quantizer output is maximal: the contiguous-quantizer
+dynamic program of Kurkoski & Yagi (IEEE Trans. IT 2014), optimal for a
+sorted space, costing time K*M^2/2 and memory one (M+1)^2 matrix plus one
+block for K levels over M observations. Each pruned-tree edge yields a
+decoding table, each leaf a translation table mapping messages back to LLRs.
 
 Alphabets are kept sorted by LLR and exactly odd-symmetric: boundaries are
 designed on the nonnegative half of the score space and mirrored, and the
@@ -27,6 +29,8 @@ CHANNEL_GRID_CELLS = 2000
 # Meta-LLR spaces larger than this are pre-binned (mass quantiles) before the
 # quantizer DP; spaces at w <= 4 stay below it untouched.
 MAX_DESIGN_GROUPS = 512
+# Interval ends per block of the quantizer DP's cost fill and argmax steps.
+DP_BLOCK_ROWS = 64
 
 LUTSET_FORMAT = "fapolar-lutset-v1"
 
@@ -46,6 +50,8 @@ class MessageAlphabet:
         object.__setattr__(self, "llr_table", llr)
         if llr.size < 2 or llr.size % 2:
             raise LutDesignError("alphabet size must be even and >= 2")
+        if not np.all(np.isfinite(llr)):
+            raise LutDesignError("translation LLRs must be finite")
         if not np.all(np.diff(llr) > 0):
             raise LutDesignError("translation LLRs must be strictly increasing")
         if not np.array_equal(llr, -llr[::-1]):
@@ -97,6 +103,11 @@ def mutual_information(joint) -> float:
     return float(terms.sum())
 
 
+def _sum_by(index, joint, size):
+    """(2, size) masses: joint[x, y] summed into column index[y], in y order."""
+    return np.stack([np.bincount(index, weights=row, minlength=size) for row in joint])
+
+
 def merge_equal_llrs(scores, joint):
     """Group observations with identical scores (a lossless merge).
 
@@ -111,27 +122,7 @@ def merge_equal_llrs(scores, joint):
     new_group[0] = True
     new_group[1:] = scores[1:] != scores[:-1]
     group_index = np.cumsum(new_group) - 1
-    n_groups = group_index[-1] + 1
-    group_joint = np.zeros((2, n_groups))
-    np.add.at(group_joint[0], group_index, joint[0])
-    np.add.at(group_joint[1], group_index, joint[1])
-    return scores[new_group], group_joint, group_index
-
-
-def _interval_mi_matrix(joint):
-    """cost[i, j] = MI contribution (bits) of merging observations [i, j)."""
-    p0 = np.concatenate([[0.0], np.cumsum(joint[0])])
-    p1 = np.concatenate([[0.0], np.cumsum(joint[1])])
-    px0, px1 = p0[-1], p1[-1]
-    a = p0[None, :] - p0[:, None]
-    b = p1[None, :] - p1[:, None]
-    tot = a + b
-    with np.errstate(divide="ignore", invalid="ignore"):
-        term0 = np.where(a > 0, a * (np.log2(np.maximum(a, PROB_FLOOR)) -
-                                     np.log2(np.maximum(px0 * tot, PROB_FLOOR))), 0.0)
-        term1 = np.where(b > 0, b * (np.log2(np.maximum(b, PROB_FLOOR)) -
-                                     np.log2(np.maximum(px1 * tot, PROB_FLOOR))), 0.0)
-    return term0 + term1
+    return scores[new_group], _sum_by(group_index, joint, group_index[-1] + 1), group_index
 
 
 def _optimal_partition(joint, out_size):
@@ -139,32 +130,52 @@ def _optimal_partition(joint, out_size):
 
     Returns (split_points, value): split_points[k] is the first observation of
     interval k+1, so intervals are [0, s0), [s0, s1), ..., [s_last, M).
+
+    End-major DP over cost[j, i], the MI contribution (bits) of merging
+    observations [i, j). Only i < j is filled, DP_BLOCK_ROWS ends at a time;
+    each of the out_size steps takes a leftmost argmax along contiguous rows
+    of its feasible ends. Time about K*M^2/2 for K = out_size and M
+    observations; memory one (M+1)^2 matrix plus one block of temporaries.
     """
     n_obs = joint.shape[1]
     if n_obs < out_size:
         raise LutDesignError(f"cannot split {n_obs} observations into {out_size} intervals")
-    cost = _interval_mi_matrix(joint)
-    neg_inf = -np.inf
-    cost[np.tril_indices(n_obs + 1)] = neg_inf  # forbid empty/backwards intervals
-    best = np.full(n_obs + 1, neg_inf)
+    p0 = np.concatenate([[0.0], np.cumsum(joint[0])])
+    p1 = np.concatenate([[0.0], np.cumsum(joint[1])])
+    px0, px1 = p0[-1], p1[-1]
+    cost = np.empty((n_obs + 1, n_obs + 1))
+    blocks = [(j0, min(j0 + DP_BLOCK_ROWS, n_obs + 1))
+              for j0 in range(1, n_obs + 1, DP_BLOCK_ROWS)]
+    for j0, j1 in blocks:
+        a = p0[j0:j1, None] - p0[None, :j1]
+        b = p1[j0:j1, None] - p1[None, :j1]
+        tot = a + b
+        with np.errstate(divide="ignore", invalid="ignore"):
+            term0 = np.where(a > 0, a * (np.log2(np.maximum(a, PROB_FLOOR)) -
+                                         np.log2(np.maximum(px0 * tot, PROB_FLOOR))), 0.0)
+            term1 = np.where(b > 0, b * (np.log2(np.maximum(b, PROB_FLOOR)) -
+                                         np.log2(np.maximum(px1 * tot, PROB_FLOOR))), 0.0)
+        block = np.add(term0, term1, out=cost[j0:j1, :j1])
+        block[:, j0:][np.triu_indices(j1 - j0)] = -np.inf  # forbid empty/backwards intervals
+    best = np.full(n_obs + 1, -np.inf)
     best[0] = 0.0
     back = np.zeros((out_size, n_obs + 1), dtype=np.int64)
     for k in range(out_size):
-        cand = best[:, None] + cost
         # interval k+1 ends at j: j must leave enough room on both sides
-        lo_j, hi_j = k + 1, n_obs - (out_size - 1 - k)
-        nxt = np.full(n_obs + 1, neg_inf)
-        sl = cand[:, lo_j:hi_j + 1]
-        back[k, lo_j:hi_j + 1] = np.argmax(sl, axis=0)
-        nxt[lo_j:hi_j + 1] = sl[back[k, lo_j:hi_j + 1], np.arange(hi_j + 1 - lo_j)]
+        lo_j, hi_j = k + 1, n_obs - (out_size - 1 - k) + 1
+        nxt = np.full(n_obs + 1, -np.inf)
+        for j0, j1 in blocks:  # same rows as the fill: cost[j, j:j1] is -inf
+            j0, j1 = max(j0, lo_j), min(j1, hi_j)
+            if j0 < j1:
+                cand = cost[j0:j1, k:j1] + best[k:j1]
+                arg = np.argmax(cand, axis=1)
+                back[k, j0:j1] = arg + k
+                nxt[j0:j1] = cand[np.arange(j1 - j0), arg]
         best = nxt
-    value = best[n_obs]
-    splits = []
-    j = n_obs
+    splits = [n_obs]
     for k in range(out_size - 1, 0, -1):
-        j = back[k, j]
-        splits.append(j)
-    return np.array(splits[::-1], dtype=np.int64), float(value)
+        splits.append(back[k, splits[-1]])
+    return np.array(splits[:0:-1], dtype=np.int64), float(best[n_obs])
 
 
 def mi_max_quantize(joint, out_size):
@@ -180,9 +191,7 @@ def mi_max_quantize(joint, out_size):
         raise LutDesignError("observations must be strictly sorted by LLR")
     splits, _ = _optimal_partition(joint, out_size)
     assignment = np.searchsorted(splits, np.arange(joint.shape[1]), side="right")
-    joint_out = np.zeros((2, out_size))
-    np.add.at(joint_out[0], assignment, joint[0])
-    np.add.at(joint_out[1], assignment, joint[1])
+    joint_out = _sum_by(assignment, joint, out_size)
     return splits, assignment, _llrs_from_joint(joint_out), joint_out
 
 
@@ -199,11 +208,7 @@ def _prebin_groups(group_joint, limit):
     first = np.ones(n_groups, dtype=bool)
     first[1:] = bin_of[1:] != bin_of[:-1]
     bin_of = np.cumsum(first) - 1
-    n_bins = bin_of[-1] + 1
-    binned = np.zeros((2, n_bins))
-    np.add.at(binned[0], bin_of, group_joint[0])
-    np.add.at(binned[1], bin_of, group_joint[1])
-    return binned, bin_of
+    return _sum_by(bin_of, group_joint, bin_of[-1] + 1), bin_of
 
 
 def _design_symmetric(scores, joint, out_size, zero_upper=None, max_groups=MAX_DESIGN_GROUPS):
@@ -263,19 +268,14 @@ def _design_symmetric(scores, joint, out_size, zero_upper=None, max_groups=MAX_D
     level_of_obs = np.empty(n_obs, dtype=np.int64)
     level_of_obs[order] = level_sorted
 
-    joint_out = np.zeros((2, out_size))
-    np.add.at(joint_out[0], level_of_obs, joint[0])
-    np.add.at(joint_out[1], level_of_obs, joint[1])
+    joint_out = _sum_by(level_of_obs, joint, out_size)
     alphabet = MessageAlphabet(symmetrize_llrs(_llrs_from_joint(joint_out)))
 
     # boundary positions in sorted-observation space, for threshold recovery
     first_of_group = np.searchsorted(group_of, np.arange(g_scores.size), side="left")
-    right_splits = []
-    for s in splits:
-        # first group of the next interval, in full group numbering
-        g = n_neg + n_zero + int(np.searchsorted(bin_of, s, side="left"))
-        right_splits.append(int(first_of_group[g]))
-    return level_of_obs, MessageDist(alphabet, joint_out), np.array(right_splits, dtype=np.int64)
+    # first group of each next interval, in full group numbering
+    right_splits = first_of_group[n_neg + n_zero + np.searchsorted(bin_of, splits, side="left")]
+    return level_of_obs, MessageDist(alphabet, joint_out), right_splits
 
 
 def quantize_channel(design_ebn0_db, rate, w, grid_cells=CHANNEL_GRID_CELLS):
@@ -479,7 +479,7 @@ def save_lutset(lutset: LutSet, path):
         "schedule_hash": lutset.schedule_hash,
         "channel_thresholds": [float(v) for v in lutset.channel_thresholds],
         "decoding_tables": {
-            str(k): {"arity": v.ndim, "table": [int(x) for x in v.ravel()]}
+            str(k): {"arity": v.ndim, "table": v.ravel().tolist()}
             for k, v in sorted(lutset.decoding_tables.items())
         },
         "translation_tables": {
@@ -488,7 +488,7 @@ def save_lutset(lutset: LutSet, path):
         },
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
 
 def _field(doc, key, *types):

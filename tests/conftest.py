@@ -3,6 +3,7 @@ import pytest
 from hypothesis import settings
 
 import fapolar as fp
+from fapolar.lutdesign import design_lutset
 
 # Property tests draw the same examples on every run, so Tier-1 is reproducible.
 settings.register_profile("fapolar", derandomize=True, deadline=None, max_examples=60)
@@ -20,6 +21,15 @@ def code8():
     code = fp.construct(8, 3, 1)
     assert list(code.info_set) == [3, 5, 6, 7]
     return code
+
+
+@pytest.fixture(scope="session")
+def n64_sc_ib_w8():
+    """(code, SC tree, IB LUT set at w=8 designed for 3.0 dB): the slowest design
+    the suite makes, shared by the w=8 decode check and the pinned set bytes."""
+    code = fp.construct(64, 28, 8)
+    sc = fp.sc_tree(code)
+    return code, sc, design_lutset(code, sc, "ib", 3.0, 8)
 
 
 def random_payload(rng, code):

@@ -266,9 +266,8 @@ def test_r0_only_tree_tracks_sc_schedule(n64_setup):
 
 
 @pytest.mark.slow
-def test_w8_lut_scl_nearly_lossless(n64_setup):
-    code, sc, _ = n64_setup
-    lutset = design_lutset(code, sc, "ib", 3.0, 8)
+def test_w8_lut_scl_nearly_lossless(n64_sc_ib_w8):
+    code, sc, lutset = n64_sc_ib_w8
     cfg = fp.ListConfig(list_size=4)
     sigma = float(np.sqrt(1.0 / (2.0 * code.rate * 10 ** (3.5 / 10.0))))
     agree = 0

@@ -1,8 +1,10 @@
 """Table design tests: DP optimality, symmetry invariants, density evolution."""
 
+import hashlib
 import itertools
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +97,8 @@ def test_message_alphabet_invariants():
         MessageAlphabet(np.array([-2.0, -1.0, 1.0, 2.5]))      # not symmetric
     with pytest.raises(LutDesignError):
         MessageAlphabet(np.array([-1.0, 0.0, 1.0]))            # odd size
+    with pytest.raises(LutDesignError, match="finite"):
+        MessageAlphabet(np.array([-np.inf, -1.0, 1.0, np.inf]))
 
 
 def test_symmetrize_averages_mirrored_magnitudes():
@@ -140,6 +144,18 @@ def test_dp_matches_exhaustive_on_64_symbol_space():
     joint = sorted_random_joint(rng, 64)
     _, _, _, joint_out = mi_max_quantize(joint, 4)
     assert abs(mi_bits(joint_out) - exhaustive_best_partition(joint, 4)) < 1e-12
+
+
+def test_channel_design_peak_memory():
+    # one (M+1)^2 cost matrix for M = 1000 cells (7.7 MiB) plus one block of
+    # temporaries; the full-matrix DP peaked at 54.7 MiB here
+    tracemalloc.start()
+    try:
+        quantize_channel(0.5, 0.5, W4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2 ** 20
 
 
 def test_quantize_rejects_too_small_space():
@@ -380,6 +396,31 @@ def test_lutset_roundtrip_bit_exact(tmp_path, code8):
     assert path.read_bytes() == second.read_bytes()
 
 
+def saved_sha256(lutset, path):
+    save_lutset(lutset, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# sha256 of the saved bytes, recorded with the full-matrix quantizer DP and
+# np.add.at mass sums that the blocked DP and bincount sums replaced
+@pytest.mark.parametrize("block_len,payload_len,variant,design_db,digest", [
+    (256, 128, "msib", 2.0, "cbae2ef8366f51f108901be825b5866fbdd6ed5ef2d7a7a331a500b76a5155a4"),
+    (256, 128, "ib", 2.0, "dacffb0e522598e620a0198a53d3dee3555f99767a3280e10211b4cc1bc0f319"),
+    (1024, 512, "msib", 0.5, "9c50c61d1295b6a053c11122b4893025fcff16542ebb142d36678feba0e8ad52"),
+    (1024, 512, "ib", 0.5, "3f9b17ac5ef46eafe030c1ba5672a4aa2ef29047276a20607dd0e4ddbcda294f"),
+])
+def test_fast_lutset_bytes_pinned(tmp_path, block_len, payload_len, variant, design_db, digest):
+    code = fp.construct(block_len, payload_len, 16)
+    lutset = design_lutset(code, fp.build_tree(code), variant, design_db, W4)
+    assert saved_sha256(lutset, tmp_path / "set.json") == digest
+
+
+@pytest.mark.slow  # shares the w=8 design with test_w8_lut_scl_nearly_lossless
+def test_sc_w8_lutset_bytes_pinned(tmp_path, n64_sc_ib_w8):
+    digest = "67e1b4b6eef3a1ce173dbf67f44df6a51a075bd665ba88c3141c58cbb42eaedb"
+    assert saved_sha256(n64_sc_ib_w8[2], tmp_path / "set.json") == digest
+
+
 def test_load_rejects_wrong_format(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"format": "other"}')
@@ -464,6 +505,8 @@ def set_decoding_table(value):
     (set_translation([float(v) for v in range(-8, 8)]), "odd-symmetric"),
     (set_translation([float(v) for v in range(8, -8, -1)]), "strictly increasing"),
     (set_translation("llrs"), "could not convert"),
+    (set_translation([-np.inf] + [float(v) for v in range(-7, 0)]
+                     + [float(v) for v in range(1, 8)] + [np.inf]), "finite"),
     (set_decoding_table([0, 1, 2]), "must be a JSON object"),
     (drop_key("schedule_hash"), "missing key"),
     (drop_key("decoding_tables"), "missing key"),
@@ -479,7 +522,8 @@ def set_decoding_table(value):
     (set_key("channel_thresholds", list(range(-7, 8))), "floats"),
 ], ids=["w0", "w16", "w20", "w-float", "arity4", "arity-shape", "entry-negative",
         "entry-too-large", "entry-float", "translation-size", "translation-asymmetric",
-        "translation-decreasing", "translation-string", "decoding-entry-list",
+        "translation-decreasing", "translation-string", "translation-infinite",
+        "decoding-entry-list",
         "missing-schedule-hash", "missing-decoding-tables", "block-len-string",
         "ebn0-null", "translation-tables-list", "variant-unknown", "thresholds-unsorted",
         "thresholds-short", "thresholds-infinite", "thresholds-ints"])

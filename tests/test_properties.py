@@ -1,15 +1,19 @@
 """Property tests (hypothesis): the list engine against a node-by-node
 reference walk, the rate-1/SPC constituent decoders against their
-split-by-split form, and the arithmetic kernels' in-place forms against their
-allocating forms. Examples are derandomized (see conftest)."""
+split-by-split form, the arithmetic kernels' in-place forms against their
+allocating forms, and the blocked quantizer DP against the full-matrix DP.
+Examples are derandomized (see conftest)."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import fapolar as fp
+from fapolar import lutdesign
 from fapolar.arith import LLR_CLIP, combine_bits, f_exact, f_minsum, g_func, metric_increment
 from fapolar.listdec import decode_rate1, decode_spc
 
@@ -222,3 +226,98 @@ def test_metric_increment_pair_equals_single_bits(llr, mode):
     pair = metric_increment(np.array([[0], [1]]), llr, mode)
     assert same_bits(pair[0], metric_increment(0, llr, mode))
     assert same_bits(pair[1], metric_increment(1, llr, mode))
+
+
+# ---------------------------------------------------------------------------
+# quantizer DP vs the full-matrix DP it replaced
+
+def matrix_partition(joint, out_size):
+    """The quantizer DP as first written: the whole cost[i, j] matrix, and per
+    step an argmax down each column of best[:, None] + cost."""
+    p0 = np.concatenate([[0.0], np.cumsum(joint[0])])
+    p1 = np.concatenate([[0.0], np.cumsum(joint[1])])
+    px0, px1 = p0[-1], p1[-1]
+    a = p0[None, :] - p0[:, None]
+    b = p1[None, :] - p1[:, None]
+    tot = a + b
+    floor = lutdesign.PROB_FLOOR
+    with np.errstate(divide="ignore", invalid="ignore"):
+        term0 = np.where(a > 0, a * (np.log2(np.maximum(a, floor)) -
+                                     np.log2(np.maximum(px0 * tot, floor))), 0.0)
+        term1 = np.where(b > 0, b * (np.log2(np.maximum(b, floor)) -
+                                     np.log2(np.maximum(px1 * tot, floor))), 0.0)
+    cost = term0 + term1
+    n_obs = joint.shape[1]
+    cost[np.tril_indices(n_obs + 1)] = -np.inf
+    best = np.full(n_obs + 1, -np.inf)
+    best[0] = 0.0
+    back = np.zeros((out_size, n_obs + 1), dtype=np.int64)
+    for k in range(out_size):
+        cand = best[:, None] + cost
+        lo_j, hi_j = k + 1, n_obs - (out_size - 1 - k)
+        nxt = np.full(n_obs + 1, -np.inf)
+        sl = cand[:, lo_j:hi_j + 1]
+        back[k, lo_j:hi_j + 1] = np.argmax(sl, axis=0)
+        nxt[lo_j:hi_j + 1] = sl[back[k, lo_j:hi_j + 1], np.arange(hi_j + 1 - lo_j)]
+        best = nxt
+    splits = []
+    j = n_obs
+    for k in range(out_size - 1, 0, -1):
+        j = back[k, j]
+        splits.append(j)
+    return np.array(splits[::-1], dtype=np.int64), float(best[n_obs])
+
+
+def matrix_quantize(joint, out_size):
+    """mi_max_quantize on matrix_partition, with the masses summed by np.add.at."""
+    splits, _ = matrix_partition(joint, out_size)
+    assignment = np.searchsorted(splits, np.arange(joint.shape[1]), side="right")
+    joint_out = np.zeros((2, out_size))
+    np.add.at(joint_out[0], assignment, joint[0])
+    np.add.at(joint_out[1], assignment, joint[1])
+    return splits, assignment, lutdesign._llrs_from_joint(joint_out), joint_out
+
+
+# the module's block height, and smaller ones that put more block edges in reach
+DP_ROWS = [1, 2, 3, 7, lutdesign.DP_BLOCK_ROWS]
+
+
+@st.composite
+def dp_joints(draw, rows):
+    """(2, n_obs) masses, n_obs on both sides of the block height. Masses are
+    zero (all-zero columns make exact cost ties), near PROB_FLOOR, or ordinary."""
+    n_obs = draw(st.integers(max(1, rows - 3), rows + 4))
+    mass = st.one_of(st.just(0.0), st.floats(1e-305, 1e-295), st.floats(1e-3, 1.0))
+    return draw(hnp.arrays(np.float64, (2, n_obs), elements=mass, fill=st.nothing()))
+
+
+@pytest.mark.parametrize("rows", DP_ROWS)
+@settings(max_examples=30)  # each example runs every out_size
+@given(data=st.data())
+def test_blocked_dp_equals_matrix_dp_bit_for_bit(rows, data):
+    joint = data.draw(dp_joints(rows))
+    n_obs = joint.shape[1]
+    with mock.patch.object(lutdesign, "DP_BLOCK_ROWS", rows):
+        for out_size in range(1, n_obs + 1):
+            splits, value = lutdesign._optimal_partition(joint, out_size)
+            ref_splits, ref_value = matrix_partition(joint, out_size)
+            assert same_bits(splits, ref_splits)
+            assert same_bits(np.float64(value), np.float64(ref_value))
+
+
+@pytest.mark.parametrize("rows", DP_ROWS)
+@settings(max_examples=30)  # each example runs every out_size
+@given(data=st.data())
+def test_mi_max_quantize_equals_matrix_form_bit_for_bit(rows, data):
+    joint = data.draw(dp_joints(rows))
+    # mi_max_quantize wants strictly ascending LLRs: sort and merge ties
+    scores = lutdesign._llrs_from_joint(joint)
+    order = np.argsort(scores, kind="stable")
+    _, joint, _ = lutdesign.merge_equal_llrs(scores[order], joint[:, order])
+    if np.any(np.diff(lutdesign._llrs_from_joint(joint)) <= 0):
+        return  # a merged column's LLR rounded onto its neighbour's
+    with mock.patch.object(lutdesign, "DP_BLOCK_ROWS", rows):
+        for out_size in range(1, joint.shape[1] + 1):
+            got = lutdesign.mi_max_quantize(joint, out_size)
+            for x, y in zip(got, matrix_quantize(joint, out_size)):
+                assert same_bits(x, y)
