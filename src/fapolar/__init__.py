@@ -22,7 +22,6 @@ from .tree import (
     ALL_NODE_KINDS,
     DecoderTree,
     NodeKind,
-    NodeSpec,
     build_tree,
     classify_span,
     dump_schedule,

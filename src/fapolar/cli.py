@@ -53,8 +53,7 @@ def _cmd_design(args):
     code = code_from_options(args.n, args.k, args.crc, args.rate_profile,
                              args.crc_poly)
     tree = schedule_tree(code, args.schedule, args.nodes)
-    lutset = design_lutset(code, tree, args.variant, args.ebn0, args.w,
-                           grid_cells=args.grid)
+    lutset = design_lutset(code, tree, args.variant, args.ebn0, args.w)
     save_lutset(lutset, args.out)
     decoding, translation = lutset.table_counts()
     print(f"wrote {args.out}: decoding {decoding}, translation {translation}")
@@ -84,14 +83,14 @@ def _cmd_simulate(args, parser):
             if action is None:
                 raise ValueError(f"unknown config key {key!r}")
             setattr(args, action.dest, _config_value(action, key, value))
+    # read once: it may give the code, and the decoder uses the same set
+    lutset = load_lutset(args.lut) if args.decoder != "llr" and args.lut else None
     if args.n is None or args.k is None:
-        if args.decoder != "llr" and args.lut:
-            lutset = load_lutset(args.lut)
-            args.n = lutset.block_len
-            args.k = lutset.payload_len
-            args.crc = lutset.crc_len
-        else:
+        if lutset is None:
             raise ValueError("--n and --k are required (or use --lut / --config)")
+        args.n = lutset.block_len
+        args.k = lutset.payload_len
+        args.crc = lutset.crc_len
     code = code_from_options(args.n, args.k, args.crc, args.rate_profile,
                              args.crc_poly)
     ListConfig(list_size=args.list, metric_mode=args.metric)  # validate early
@@ -110,7 +109,7 @@ def _cmd_simulate(args, parser):
                            args.seed, "empty")
     else:
         result = sweep(code, spec, points, seed=args.seed, max_frames=args.max_frames,
-                       min_errors=args.min_errors, workers=args.workers)
+                       min_errors=args.min_errors, workers=args.workers, lutset=lutset)
     if args.out:
         write_csv(result, args.out)
     if args.json_out:
@@ -144,8 +143,6 @@ def build_parser():
     p_design.add_argument("--ebn0", type=float, required=True,
                           help="design Eb/N0 in dB")
     p_design.add_argument("--w", type=int, default=4, help="message bit width")
-    p_design.add_argument("--grid", type=int, default=2000,
-                          help="channel quantizer grid cells")
     p_design.add_argument("--out", required=True, metavar="FILE")
     p_design.set_defaults(func=_cmd_design)
 

@@ -7,7 +7,8 @@ relevant bit and the quantizer output is maximal: the contiguous-quantizer
 dynamic program of Kurkoski & Yagi (IEEE Trans. IT 2014), optimal for a
 sorted space, costing time K*M^2/2 and memory one (M+1)^2 matrix plus one
 block for K levels over M observations. Each pruned-tree edge yields a
-decoding table, each leaf a translation table mapping messages back to LLRs.
+decoding table, designed from the parent distribution that both of its input
+messages follow, and each leaf a translation table mapping messages to LLRs.
 
 Alphabets are kept sorted by LLR and exactly odd-symmetric: boundaries are
 designed on the nonnegative half of the score space and mirrored, and the
@@ -219,9 +220,7 @@ def _design_symmetric(scores, joint, out_size, zero_upper=None, max_groups=MAX_D
     for g updates) map to one of the two middle levels according to
     ``zero_upper`` so that mirror pairs split evenly.
 
-    Returns (level_of_obs, MessageDist, right_split_obs_index) where the last
-    item gives, per internal boundary of the upper half, the index into the
-    sorted observation order of the first observation above the boundary.
+    Returns (level_of_obs, MessageDist).
     """
     scores = np.asarray(scores, dtype=np.float64)
     joint = np.asarray(joint, dtype=np.float64)
@@ -270,15 +269,10 @@ def _design_symmetric(scores, joint, out_size, zero_upper=None, max_groups=MAX_D
 
     joint_out = _sum_by(level_of_obs, joint, out_size)
     alphabet = MessageAlphabet(symmetrize_llrs(_llrs_from_joint(joint_out)))
-
-    # boundary positions in sorted-observation space, for threshold recovery
-    first_of_group = np.searchsorted(group_of, np.arange(g_scores.size), side="left")
-    # first group of each next interval, in full group numbering
-    right_splits = first_of_group[n_neg + n_zero + np.searchsorted(bin_of, splits, side="left")]
-    return level_of_obs, MessageDist(alphabet, joint_out), right_splits
+    return level_of_obs, MessageDist(alphabet, joint_out)
 
 
-def quantize_channel(design_ebn0_db, rate, w, grid_cells=CHANNEL_GRID_CELLS):
+def quantize_channel(design_ebn0_db, rate, w):
     """MI-maximizing quantizer of the binary-input AWGN channel.
 
     Returns (thresholds, MessageDist): ``thresholds`` are the 2^w - 1 sorted
@@ -289,16 +283,14 @@ def quantize_channel(design_ebn0_db, rate, w, grid_cells=CHANNEL_GRID_CELLS):
         raise LutDesignError("bit width must be >= 1")
     if not 0 < rate <= 1:
         raise LutDesignError("rate must be in (0, 1]")
-    if grid_cells < 4 * (1 << w):
+    if CHANNEL_GRID_CELLS < 4 * (1 << w):
         raise LutDesignError("grid too coarse for the alphabet")
-    if grid_cells % 2:
-        raise LutDesignError("grid cell count must be even")
     sigma2 = 1.0 / (2.0 * rate * 10.0 ** (design_ebn0_db / 10.0))
     sigma = float(np.sqrt(sigma2))
     out_size = 1 << w
 
     span = 1.0 + 6.0 * sigma
-    half_edges = np.linspace(0.0, span, grid_cells // 2 + 1)
+    half_edges = np.linspace(0.0, span, CHANNEL_GRID_CELLS // 2 + 1)
     edges = np.concatenate([-half_edges[:0:-1], half_edges])
     # p(cell | x=0) for BPSK mean +1; x=1 masses are the exact mirror
     mass0 = np.maximum(np.diff(ndtr((edges - 1.0) / sigma)), 0.0)
@@ -309,71 +301,69 @@ def quantize_channel(design_ebn0_db, rate, w, grid_cells=CHANNEL_GRID_CELLS):
     # as the cell-mass posterior, exactly antisymmetric, and free of ties even
     # where far-tail cell masses underflow.
     centers = (edges[:-1] + edges[1:]) / (2.0 * sigma2) * 2.0
-    level_of_obs, dist, right_splits = _design_symmetric(
+    level_of_obs, dist = _design_symmetric(
         centers, joint, out_size, max_groups=None
     )
-    if np.any(np.diff(level_of_obs) < 0):
+    steps = np.diff(level_of_obs)
+    if np.any(steps < 0):
         raise LutDesignError("channel quantizer mapping is not monotone")
-    pos_thresholds = edges[right_splits]
-    thresholds = np.concatenate([-pos_thresholds[::-1], [0.0], pos_thresholds])
-    return thresholds, dist
+    # a threshold is the grid edge between two cells of adjacent levels
+    return edges[1:-1][steps > 0], dist
 
 
-def build_f_table(dist_a: MessageDist, dist_b: MessageDist, mode: str, out_size: int):
-    """Decoding table for an upper-branch (f) update.
+def build_f_table(dist: MessageDist, mode: str):
+    """Decoding table for an upper-branch (f) update of two messages t1, t2
+    that follow the parent ``dist``; the output keeps its alphabet size.
 
-    The relevant bit is the XOR of the two branch bits; the observed pair
-    (t1, t2) is scored with the exact box-plus ("exact") or the min-sum
-    rule ("minsum") on the translation LLRs. Returns (mapping, MessageDist)
-    with mapping[t1, t2] = t_out.
+    The relevant bit is the XOR of the two branch bits; the pair is scored
+    with the exact box-plus ("exact") or the min-sum rule ("minsum") on the
+    translation LLRs. Returns (mapping, MessageDist), mapping[t1, t2] = t_out.
     """
     if mode not in ("exact", "minsum"):
         raise LutDesignError(f"unknown design mode {mode!r}")
-    la = dist_a.alphabet.llr_table
-    lb = dist_b.alphabet.llr_table
-    pa, pb = dist_a.joint, dist_b.joint
+    llr, p = dist.alphabet.llr_table, dist.joint
+    size = llr.size
     joint = np.stack([
-        pa[0][:, None] * pb[0][None, :] + pa[1][:, None] * pb[1][None, :],
-        pa[0][:, None] * pb[1][None, :] + pa[1][:, None] * pb[0][None, :],
+        p[0][:, None] * p[0][None, :] + p[1][:, None] * p[1][None, :],
+        p[0][:, None] * p[1][None, :] + p[1][:, None] * p[0][None, :],
     ])
     # unclipped scores: these are sort keys, and clipping would alias
     # distinct levels once deep distributions saturate
     if mode == "exact":
-        scores = f_exact(la[:, None], lb[None, :], clip=np.inf)
+        scores = f_exact(llr[:, None], llr[None, :], clip=np.inf)
     else:
-        scores = f_minsum(la[:, None], lb[None, :])
-    t1_upper = np.broadcast_to((np.arange(la.size) >= la.size // 2)[:, None], scores.shape)
-    level_of_obs, dist, _ = _design_symmetric(
-        scores.ravel(), joint.reshape(2, -1), out_size, zero_upper=t1_upper.ravel()
+        scores = f_minsum(llr[:, None], llr[None, :])
+    t1_upper = np.broadcast_to((np.arange(size) >= size // 2)[:, None], scores.shape)
+    level_of_obs, out = _design_symmetric(
+        scores.ravel(), joint.reshape(2, -1), size, zero_upper=t1_upper.ravel()
     )
-    return level_of_obs.reshape(la.size, lb.size).astype(np.int16), dist
+    return level_of_obs.reshape(size, size).astype(np.int16), out
 
 
-def build_g_table(dist_a: MessageDist, dist_b: MessageDist, out_size: int):
-    """Decoding table for a lower-branch (g) update.
+def build_g_table(dist: MessageDist):
+    """Decoding table for a lower-branch (g) update of two messages t1, t2
+    that follow the parent ``dist``; the output keeps its alphabet size.
 
-    The relevant bit is the lower-branch bit; the upper-branch bit is assumed
-    correctly fed back at design time. The observation (t1, t2, b) is scored
-    with (-1)^b * L(t1) + L(t2), which is exact (no min-sum counterpart).
-    Returns (mapping, MessageDist) with mapping[t1, t2, b] = t_out.
+    The relevant bit is the lower-branch bit; the upper-branch bit b is
+    assumed correctly fed back at design time. The observation (t1, t2, b) is
+    scored with (-1)^b * L(t1) + L(t2), which is exact (no min-sum
+    counterpart). Returns (mapping, MessageDist), mapping[t1, t2, b] = t_out.
     """
-    la = dist_a.alphabet.llr_table
-    lb = dist_b.alphabet.llr_table
-    pa, pb = dist_a.joint, dist_b.joint
-    ta, tb = la.size, lb.size
-    # p(x, t1, t2, b) = pa[b ^ x, t1] * pb[x, t2]
-    joint = np.empty((2, ta, tb, 2))
+    llr, p = dist.alphabet.llr_table, dist.joint
+    size = llr.size
+    # p(x, t1, t2, b) = p[b ^ x, t1] * p[x, t2]
+    joint = np.empty((2, size, size, 2))
     for x in (0, 1):
         for b in (0, 1):
-            joint[x, :, :, b] = pa[b ^ x][:, None] * pb[x][None, :]
-    scores = np.empty((ta, tb, 2))
-    scores[:, :, 0] = la[:, None] + lb[None, :]
-    scores[:, :, 1] = -la[:, None] + lb[None, :]
-    t1_upper = np.broadcast_to((np.arange(ta) >= ta // 2)[:, None, None], scores.shape)
-    level_of_obs, dist, _ = _design_symmetric(
-        scores.ravel(), joint.reshape(2, -1), out_size, zero_upper=t1_upper.ravel()
+            joint[x, :, :, b] = p[b ^ x][:, None] * p[x][None, :]
+    scores = np.empty((size, size, 2))
+    scores[:, :, 0] = llr[:, None] + llr[None, :]
+    scores[:, :, 1] = -llr[:, None] + llr[None, :]
+    t1_upper = np.broadcast_to((np.arange(size) >= size // 2)[:, None, None], scores.shape)
+    level_of_obs, out = _design_symmetric(
+        scores.ravel(), joint.reshape(2, -1), size, zero_upper=t1_upper.ravel()
     )
-    return level_of_obs.reshape(ta, tb, 2).astype(np.int16), dist
+    return level_of_obs.reshape(size, size, 2).astype(np.int16), out
 
 
 def msib_f_index(t1, t2, alphabet_size: int):
@@ -424,20 +414,18 @@ class LutSet:
 
 
 def design_lutset(code: PolarCode, tree: DecoderTree, variant: str,
-                  design_ebn0_db: float, w: int,
-                  grid_cells=CHANNEL_GRID_CELLS) -> LutSet:
+                  design_ebn0_db: float, w: int) -> LutSet:
     """Evolve the channel distribution down the pruned tree and emit tables.
 
-    Per f-edge and g-edge a decoding table is designed from the parent
-    distribution (IB scores f updates with the exact box-plus, MSIB with
-    min-sum; MSIB f-edges then need no stored table since the mapping is the
-    index rule). The distribution arriving at each leaf provides that leaf's
-    translation table.
+    Per f-edge and g-edge a decoding table is designed from the parent node's
+    distribution, which both of its inputs follow (IB scores f updates with
+    the exact box-plus, MSIB with min-sum; MSIB f-edges then need no stored
+    table since the mapping is the index rule). The distribution arriving at
+    each leaf provides that leaf's translation table.
     """
     if variant not in ("ib", "msib"):
         raise LutDesignError(f"unknown variant {variant!r}")
-    out_size = 1 << w
-    thresholds, channel = quantize_channel(design_ebn0_db, code.rate, w, grid_cells)
+    thresholds, channel = quantize_channel(design_ebn0_db, code.rate, w)
     f_mode = "exact" if variant == "ib" else "minsum"
     lutset = LutSet(
         block_len=code.block_len,
@@ -454,11 +442,11 @@ def design_lutset(code: PolarCode, tree: DecoderTree, variant: str,
         if node.is_leaf:
             lutset.translation_tables[node.leaf_id] = dist.alphabet.llr_table
             return
-        f_map, f_dist = build_f_table(dist, dist, f_mode, out_size)
+        f_map, f_dist = build_f_table(dist, f_mode)
         if variant == "ib":
             lutset.decoding_tables[node.f_edge_id] = f_map
         rec(node.left, f_dist)
-        g_map, g_dist = build_g_table(dist, dist, out_size)
+        g_map, g_dist = build_g_table(dist)
         lutset.decoding_tables[node.g_edge_id] = g_map
         rec(node.right, g_dist)
 
@@ -501,6 +489,13 @@ def _field(doc, key, *types):
     return doc[key]
 
 
+def _table_id(kind, key):
+    """Keys are canonical ids ("0", "17"): no two name one table, none is negative."""
+    if key.isascii() and key.isdecimal() and key == str(int(key)):
+        return int(key)
+    raise LutDesignError(f"{kind} table {key!r}: not a canonical non-negative integer id")
+
+
 def load_lutset(path) -> LutSet:
     """Read a LUT set written by ``save_lutset``. Every key is checked here, so
     a bad file fails with a ``LutDesignError`` naming the key, not mid-decode."""
@@ -522,6 +517,7 @@ def load_lutset(path) -> LutSet:
                              f"strictly increasing floats at w={w}")
     decoding = {}
     for key, entry in _field(doc, "decoding_tables", dict).items():
+        table_id = _table_id("decoding", key)
         if type(entry) is not dict:
             raise LutDesignError(f"decoding table {key}: must be a JSON object")
         arity = entry.get("arity")
@@ -534,16 +530,17 @@ def load_lutset(path) -> LutSet:
                                  f"{np.prod(shape)} integer entries")
         if table.min() < 0 or table.max() >= size:
             raise LutDesignError(f"decoding table {key}: entries must lie in [0, {size})")
-        decoding[int(key)] = table.astype(np.int16).reshape(shape)
+        decoding[table_id] = table.astype(np.int16).reshape(shape)
     translation = {}
     for key, llrs in _field(doc, "translation_tables", dict).items():
+        table_id = _table_id("translation", key)
         try:
             alphabet = MessageAlphabet(llrs)
         except (LutDesignError, TypeError, ValueError) as err:
             raise LutDesignError(f"translation table {key}: {err}") from None
         if alphabet.size != size:
             raise LutDesignError(f"translation table {key}: {alphabet.size} LLRs, w={w} needs {size}")
-        translation[int(key)] = alphabet.llr_table
+        translation[table_id] = alphabet.llr_table
     return LutSet(
         block_len=_field(doc, "block_len", int),
         payload_len=_field(doc, "payload_len", int),

@@ -5,6 +5,7 @@ Subtrees whose frozen pattern matches a special node type (rate-0, rate-1,
 repetition, single parity check) are condensed into one leaf, which shortens
 the schedule and shrinks the number of lookup tables a quantized decoder
 needs: one decoding table per surviving edge, one translation table per leaf.
+The schedule is the tuple of leaf ``TreeNode``s in activation order.
 """
 
 import hashlib
@@ -48,20 +49,10 @@ def classify_span(frozen_span) -> NodeKind:
     return NodeKind.SC
 
 
-@dataclass(frozen=True)
-class NodeSpec:
-    """One pruned-tree leaf in activation order (index is 1-based)."""
-
-    index: int
-    depth: int
-    size: int
-    span_start: int
-    kind: NodeKind
-
-
 @dataclass
 class TreeNode:
-    """Internal recursive form: leaves carry a leaf id, interior nodes edge ids.
+    """One node of the pruned tree: leaves carry a leaf id (their place in
+    activation order), interior nodes their f/g edge ids and two children.
     ``kind`` is the span's pattern, also on interior nodes (R0: all frozen)."""
 
     depth: int
@@ -85,7 +76,7 @@ class DecoderTree:
 
     block_len: int
     root: TreeNode
-    schedule: tuple
+    schedule: tuple            # the leaf TreeNodes, in activation order
     edge_kinds: tuple          # edge id -> "f" | "g", in activation order
     leaf_count: int = field(init=False)
     _schedule_hash: str = field(default=None, init=False, repr=False, compare=False)
@@ -127,9 +118,8 @@ def build_tree(code: PolarCode, enabled_kinds=ALL_NODE_KINDS) -> DecoderTree:
     def rec(lo: int, size: int, depth: int) -> TreeNode:
         kind = classify_span(frozen[lo:lo + size])
         if size == 1 or (kind != NodeKind.SC and kind in enabled):
-            node = TreeNode(depth, lo, size, kind, leaf_id=len(schedule))
-            schedule.append(NodeSpec(len(schedule) + 1, depth, size, lo, kind))
-            return node
+            schedule.append(TreeNode(depth, lo, size, kind, leaf_id=len(schedule)))
+            return schedule[-1]
         node = TreeNode(depth, lo, size, kind)
         node.f_edge_id = len(edge_kinds)
         edge_kinds.append("f")
@@ -168,8 +158,8 @@ def table_counts(tree: DecoderTree, variant: str) -> tuple:
 
 
 def dump_schedule(tree: DecoderTree):
-    """Rows (index, depth, kind, size, span_start) in activation order."""
-    return [(s.index, s.depth, s.kind.value, s.size, s.span_start) for s in tree.schedule]
+    """Rows (1-based index, depth, kind, size, span_start) in activation order."""
+    return [(s.leaf_id + 1, s.depth, s.kind.value, s.size, s.span_start) for s in tree.schedule]
 
 
 def parse_kinds(text: str) -> frozenset:

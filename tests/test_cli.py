@@ -1,5 +1,6 @@
 import json
 
+from fapolar import cli, sim
 from fapolar.cli import main
 
 
@@ -77,6 +78,27 @@ def test_simulate_lut_decoder_infers_code(capsys, tmp_path):
                          "--max-frames", "64", "--min-errors", "0")
     assert rc == 0
     assert "8 dB" in out
+
+
+def test_simulate_reads_lut_file_once(capsys, tmp_path, monkeypatch):
+    lut_file = tmp_path / "lut.json"
+    run_cli(capsys, "design", "--n", "32", "--k", "12", "--crc", "4",
+            "--variant", "msib", "--ebn0", "1.0", "--w", "3", "--out", str(lut_file))
+    loads, real_load = [], sim.load_lutset
+
+    def counting_load(path):
+        loads.append(path)
+        return real_load(path)
+
+    monkeypatch.setattr(cli, "load_lutset", counting_load)
+    monkeypatch.setattr(sim, "load_lutset", counting_load)
+    for code_options in ((), ("--n", "32", "--k", "12", "--crc", "4")):
+        loads.clear()
+        rc, out, _ = run_cli(capsys, "simulate", *code_options, "--decoder", "msib",
+                             "--lut", str(lut_file), "--list", "2", "--ebn0-list", "8.0",
+                             "--max-frames", "16", "--min-errors", "0")
+        assert rc == 0 and "8 dB" in out
+        assert loads == [str(lut_file)], code_options
 
 
 def test_config_errors_exit_2(capsys, tmp_path):

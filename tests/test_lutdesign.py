@@ -198,7 +198,44 @@ def test_channel_rejects_bad_parameters():
     with pytest.raises(LutDesignError):
         quantize_channel(0.5, 0.5, 0)
     with pytest.raises(LutDesignError):
-        quantize_channel(0.5, 0.5, 4, grid_cells=32)
+        quantize_channel(0.5, 0.5, 9)  # 2^9 levels need > 2000 grid cells
+
+
+# sha256 of thresholds.tobytes() + dist.joint.tobytes(), recorded while the
+# thresholds were still read off the DP split indices instead of the level map
+CHANNEL_DIGESTS = {
+    (-2.0, 0.25, 1): "ea45f4eb3c2d6a139f701843d947caf6b7f0f29919f7d65dc83f77668d2e851f",
+    (-2.0, 0.25, 4): "a5805b323886040d64d5abadf102087e0b5d9ffcca8a3999023cf89151e4a7e8",
+    (-2.0, 0.25, 6): "63b3d72e26f5da65ba94d477a3c360bad48803bd630c7736fd522178e0e1f534",
+    (-2.0, 0.5, 1): "912558662039af1efd1fc1857366f892a2d702b9a230e7c87ffcd8008975d4fd",
+    (-2.0, 0.5, 4): "9bea2ef0f49224d8ae52d0a08dad4fb7a39fb1573363d833a3e97bb979f9bfce",
+    (-2.0, 0.5, 6): "82276e5a28754fcc4018adc60c6f988892c8b6ba8b219423fcdb005add3ea2ec",
+    (0.5, 0.25, 1): "0120f7017fd6e4897e27bfbf009775359a51bfccc66db653fb37e9fd3aecbed9",
+    (0.5, 0.25, 4): "7927bbe42d8e90a4f54b0379b744492869c2a906cc1095876d5bcabea544c4c1",
+    (0.5, 0.25, 6): "aa8bb502a307c126e15eb4e167fc9c750dc06e803f2fa54d808a86f38bfac35c",
+    (0.5, 0.5, 1): "d53775da1cbdb694ccbe675060d9cf43aab4fdd99e9a7773bd68e595c2c075d5",
+    (0.5, 0.5, 4): "448774ac68bc1a9aef4091f61f4090905fd0bd7c07b28d5ff52643b3ef227fbc",
+    (0.5, 0.5, 6): "86814f4eabaf4e3d3f6a0825f9f44dbd43da68f7a05419e35caea4c765a1e544",
+    (3.0, 0.25, 1): "3d91f9e86ffe30914639acce564fb2781831a6aa2616e567119317344df974db",
+    (3.0, 0.25, 4): "b722335119f724db2a16f1b6e6d03db357cb3b71900b7f97b3fe0fae3c97e70a",
+    (3.0, 0.25, 6): "e07397d4cc8c588bee47ef4448b27eeb2876aa73ebc83e39a9df44f210622f96",
+    (3.0, 0.5, 1): "ddbb25fbf3b817a4f1e37a818c32c80876bcb18afa628fdab144f627dc2e5f10",
+    (3.0, 0.5, 4): "4f2c4a21d8f201269d37e19c36f2da3141876e75125dbf9b98ae2dc91813f819",
+    (3.0, 0.5, 6): "797046c2621f27e69fc90812d51b7fd6703bac44a20bafe291e9a1bd71442e82",
+    (6.0, 0.25, 1): "23fea3033583ab580529b4e8d947e079139f41391c60a7946c343f4da5a7dd6c",
+    (6.0, 0.25, 4): "581bfa53f65860bc538591b5efdce14cb8ba6dfde7dc43a3c4f1e8dce3337470",
+    (6.0, 0.25, 6): "b7bb5b72dbc0d0af172dc55d33206f2e1d692d890fb4c233b63023f43e6aa1d4",
+    (6.0, 0.5, 1): "e7dcc301fcb4e09eb11f70fcad35561b0aef76e2abf0b786fd21f04841df51ef",
+    (6.0, 0.5, 4): "c956f6470b608a0d6f602c474e0813fc46c1d0d42df1f700e859e01364b7c230",
+    (6.0, 0.5, 6): "6e9bd5cf3bbca56748cde18ca63998b031aace10f17cf1e1436a38a7066e8e68",
+}
+
+
+@pytest.mark.parametrize("ebn0_db,rate,w", CHANNEL_DIGESTS)
+def test_channel_quantizer_bytes_pinned(ebn0_db, rate, w):
+    thresholds, dist = quantize_channel(ebn0_db, rate, w)
+    digest = hashlib.sha256(thresholds.tobytes() + dist.joint.tobytes()).hexdigest()
+    assert digest == CHANNEL_DIGESTS[ebn0_db, rate, w]
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +244,7 @@ def test_channel_rejects_bad_parameters():
 def test_f_table_symmetric_output_and_mi_bound(channel4):
     _, dist = channel4
     for mode in ("exact", "minsum"):
-        mapping, out = build_f_table(dist, dist, mode, SIZE4)
+        mapping, out = build_f_table(dist, mode)
         assert mapping.shape == (SIZE4, SIZE4)
         assert set(np.unique(mapping)) == set(range(SIZE4))  # every level used
         llr = out.alphabet.llr_table
@@ -219,14 +256,14 @@ def test_f_table_minsum_equals_index_rule():
     for w in (2, 3, 4):
         size = 1 << w
         _, dist = quantize_channel(0.5, 0.5, w)
-        mapping, _ = build_f_table(dist, dist, "minsum", size)
+        mapping, _ = build_f_table(dist, "minsum")
         t1, t2 = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
         assert np.array_equal(mapping, msib_f_index(t1, t2, size))
 
 
 def test_g_table_covers_full_domain_and_gains_information(channel4):
     _, dist = channel4
-    mapping, out = build_g_table(dist, dist, SIZE4)
+    mapping, out = build_g_table(dist)
     assert mapping.shape == (SIZE4, SIZE4, 2)
     assert mapping.size == 2 ** (2 * W4 + 1)
     # unquantized g observation: (t1, t2, b) kept distinct
@@ -339,9 +376,9 @@ def test_design_evolution_respects_data_processing():
         if node.is_leaf:
             return
         parent_mi = mutual_information(dist.joint)
-        _, f_out = build_f_table(dist, dist, "exact", SIZE4)
+        _, f_out = build_f_table(dist, "exact")
         assert mutual_information(f_out.joint) <= parent_mi + 1e-12
-        _, g_out = build_g_table(dist, dist, SIZE4)
+        _, g_out = build_g_table(dist)
         assert mutual_information(g_out.joint) >= parent_mi - 1e-12
         assert 0.0 <= mutual_information(f_out.joint) <= 1.0
         assert 0.0 <= mutual_information(g_out.joint) <= 1.0
@@ -483,6 +520,15 @@ def drop_key(name):
     return edit
 
 
+def move_table(section, new_key, keep_old=False):
+    """Store table "1" of ``section`` under ``new_key`` (beside it if keep_old)."""
+    def edit(doc):
+        tables = doc[section]
+        tables[new_key] = tables["1"] if keep_old else tables.pop("1")
+        return f"{section.split('_')[0]} table {new_key!r}"
+    return edit
+
+
 def set_decoding_table(value):
     def edit(doc):
         key = min(doc["decoding_tables"], key=int)
@@ -508,6 +554,9 @@ def set_decoding_table(value):
     (set_translation([-np.inf] + [float(v) for v in range(-7, 0)]
                      + [float(v) for v in range(1, 8)] + [np.inf]), "finite"),
     (set_decoding_table([0, 1, 2]), "must be a JSON object"),
+    (move_table("decoding_tables", "x"), "canonical non-negative integer id"),
+    (move_table("decoding_tables", "01", keep_old=True), "canonical non-negative integer id"),
+    (move_table("translation_tables", "-1"), "canonical non-negative integer id"),
     (drop_key("schedule_hash"), "missing key"),
     (drop_key("decoding_tables"), "missing key"),
     (set_key("block_len", "8"), "must be int"),
@@ -523,7 +572,8 @@ def set_decoding_table(value):
 ], ids=["w0", "w16", "w20", "w-float", "arity4", "arity-shape", "entry-negative",
         "entry-too-large", "entry-float", "translation-size", "translation-asymmetric",
         "translation-decreasing", "translation-string", "translation-infinite",
-        "decoding-entry-list",
+        "decoding-entry-list", "decoding-id-word", "decoding-id-leading-zero",
+        "translation-id-negative",
         "missing-schedule-hash", "missing-decoding-tables", "block-len-string",
         "ebn0-null", "translation-tables-list", "variant-unknown", "thresholds-unsorted",
         "thresholds-short", "thresholds-infinite", "thresholds-ints"])
