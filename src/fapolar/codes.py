@@ -23,8 +23,6 @@ class CrcConfig:
 
     width: int
     polynomial: int = 0x1021
-    init: int = 0x0000
-    xorout: int = 0x0000
 
     def __post_init__(self):
         if self.width < 0:
@@ -34,15 +32,13 @@ class CrcConfig:
 
 
 # CRC-16/CCITT (XModem flavour: zero init, no output xor).
-CRC16 = CrcConfig(width=16, polynomial=0x1021, init=0x0000, xorout=0x0000)
+CRC16 = CrcConfig(width=16, polynomial=0x1021)
 
 
 def default_crc_config(width: int) -> CrcConfig:
     """CRC-16/CCITT for 16-bit CRCs; an odd truncation of it for other widths."""
     if width == 0:
         return CrcConfig(width=0, polynomial=0)
-    if width == 16:
-        return CRC16
     return CrcConfig(width=width, polynomial=(0x1021 % (1 << width)) | 1)
 
 
@@ -50,7 +46,7 @@ def crc_bits(payload, cfg: CrcConfig) -> np.ndarray:
     """Compute the CRC of a bit vector, returned MSB-first as 0./1. ints."""
     if cfg.width == 0:
         return np.zeros(0, dtype=np.uint8)
-    reg = cfg.init
+    reg = 0
     top = 1 << (cfg.width - 1)
     mask = (1 << cfg.width) - 1
     for b in np.asarray(payload, dtype=np.uint8):
@@ -59,7 +55,6 @@ def crc_bits(payload, cfg: CrcConfig) -> np.ndarray:
             reg = ((reg << 1) ^ cfg.polynomial) & mask
         else:
             reg = (reg << 1) & mask
-    reg ^= cfg.xorout
     out = [(reg >> (cfg.width - 1 - i)) & 1 for i in range(cfg.width)]
     return np.array(out, dtype=np.uint8)
 
@@ -107,7 +102,6 @@ def nr_sequence() -> ReliabilitySequence:
 class PolarCode:
     """An (N, K) polar code with an optional CRC occupying the top of the info set."""
 
-    n: int
     block_len: int
     payload_len: int
     crc: CrcConfig
@@ -117,8 +111,8 @@ class PolarCode:
     def __post_init__(self):
         object.__setattr__(self, "info_set", np.asarray(self.info_set, dtype=np.int64))
         object.__setattr__(self, "frozen_mask", np.asarray(self.frozen_mask, dtype=bool))
-        if self.block_len != 1 << self.n:
-            raise CodeConstructionError("block length must be 2**n")
+        if self.block_len < 2 or self.block_len & (self.block_len - 1):
+            raise CodeConstructionError("block length must be a power of two >= 2")
         if self.info_set.size != self.payload_len + self.crc.width:
             raise CodeConstructionError("info set size != payload + CRC bits")
         if np.any(np.diff(self.info_set) <= 0):
@@ -152,12 +146,9 @@ def construct(
 ) -> PolarCode:
     """Build a polar code: the payload_len + crc_len most reliable positions carry data.
 
-    ``crc_cfg`` overrides the default polynomial (CRC-16/CCITT truncated to
-    ``crc_len`` is only valid for crc_len 16, so other widths need an explicit
-    config).
+    ``crc_cfg`` overrides ``default_crc_config(crc_len)``, which gives a CRC of
+    any width (CRC-16/CCITT itself at width 16).
     """
-    if block_len < 2 or block_len & (block_len - 1):
-        raise CodeConstructionError("block length must be a power of two >= 2")
     n_info = payload_len + crc_len
     if not 0 < n_info <= block_len:
         raise CodeConstructionError("need 0 < payload + CRC <= block length")
@@ -173,9 +164,7 @@ def construct(
     info_set = np.sort(ranked[block_len - n_info:])
     frozen = np.ones(block_len, dtype=bool)
     frozen[info_set] = False
-    n = int(np.log2(block_len))
     return PolarCode(
-        n=n,
         block_len=block_len,
         payload_len=payload_len,
         crc=crc_cfg,

@@ -4,12 +4,12 @@
 these ops: interior f/g updates become table lookups on w-bit integer
 messages, and each leaf translates its messages to LLRs before the usual
 metric updates or constituent decoding. Path metrics stay floating-point.
-The set is checked against the code and tree before the walk, so a missing
-or mis-shaped table is a ``LutMismatchError`` naming its edge or leaf.
+The set is checked against the code and tree before the walk, so a missing,
+mis-shaped or stray table is a ``LutMismatchError`` naming its edge or leaf.
 
-The MSIB f update is the index rule ``msib_f_index`` on every edge, tabulated
-once per alphabet size at run time: not a designed table, so neither stored,
-nor recorded in ``touched_decoding``, nor counted by ``table_counts``.
+The MSIB f update is the index rule ``msib_f_index`` on every edge, at design
+time and here, where it is tabulated once per alphabet size: not a stored
+table (``tree.stored_tables``), so not recorded in ``touched_decoding``.
 """
 
 from functools import lru_cache
@@ -18,7 +18,7 @@ import numpy as np
 
 from .codes import PolarCode
 from .lutdesign import LutSet, msib_f_index
-from .tree import DecoderTree
+from .tree import DecoderTree, stored_tables
 
 
 class LutMismatchError(ValueError):
@@ -87,21 +87,24 @@ class _LutOps:
 
 
 def _check_match(code: PolarCode, tree: DecoderTree, lutset: LutSet):
-    """The set belongs to this code and schedule and holds every table the walk
-    looks up: an arity-3 table per g edge, an arity-2 one per f edge of an IB
-    set (MSIB f edges use the index rule), and translation ids 0..leaves-1."""
+    """The set belongs to this code and schedule and stores exactly the tables
+    of ``stored_tables``, each of its arity, and translation ids 0..leaves-1."""
     if lutset.block_len != code.block_len or lutset.payload_len != code.payload_len \
             or lutset.crc_len != code.crc_len:
         raise LutMismatchError("LUT set was designed for a different code")
     if lutset.schedule_hash != tree.schedule_hash():
         raise LutMismatchError("LUT set was designed for a different schedule")
     size = lutset.alphabet_size
-    for edge_id, kind in enumerate(tree.edge_kinds):
-        shape = (size, size, 2) if kind == "g" else (size, size)
-        table = lutset.decoding_tables.get(edge_id)
-        if (kind == "g" or lutset.variant == "ib") and getattr(table, "shape", None) != shape:
-            raise LutMismatchError(f"{kind} edge {edge_id} needs an arity-{len(shape)} "
-                                   f"decoding table of {size} levels")
+    shapes = {2: (size, size), 3: (size, size, 2)}
+    plan = stored_tables(tree, lutset.variant)
+    for edge_id, arity in plan.items():
+        if getattr(lutset.decoding_tables.get(edge_id), "shape", None) != shapes[arity]:
+            raise LutMismatchError(f"{tree.edge_kinds[edge_id]} edge {edge_id} needs an "
+                                   f"arity-{arity} decoding table of {size} levels")
+    if len(lutset.decoding_tables) != len(plan):
+        stray = min(lutset.decoding_tables.keys() - plan.keys())
+        raise LutMismatchError(f"decoding table {stray} is not stored by a "
+                               f"{lutset.variant} decoder on this schedule")
     leaves = range(tree.leaf_count)
     if sorted(lutset.translation_tables) != list(leaves):
         leaf = min(set(leaves) ^ set(lutset.translation_tables))

@@ -9,6 +9,8 @@ sorted space, costing time K*M^2/2 and memory one (M+1)^2 matrix plus one
 block for K levels over M observations. Each pruned-tree edge yields a
 decoding table, designed from the parent distribution that both of its input
 messages follow, and each leaf a translation table mapping messages to LLRs.
+MSIB f edges are the exception: their mapping is the min-sum index rule
+``msib_f_index``, at design time as in the decoder, so they store no table.
 
 Alphabets are kept sorted by LLR and exactly odd-symmetric: boundaries are
 designed on the nonnegative half of the score space and mirrored, and the
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .arith import f_exact, f_minsum
+from .arith import f_exact
 from .codes import PolarCode
 from .tree import DecoderTree
 
@@ -266,10 +268,14 @@ def _design_symmetric(scores, joint, out_size, zero_upper=None, max_groups=MAX_D
         )
     level_of_obs = np.empty(n_obs, dtype=np.int64)
     level_of_obs[order] = level_sorted
+    return level_of_obs, _output_dist(level_of_obs, joint, out_size)
 
+
+def _output_dist(level_of_obs, joint, out_size) -> MessageDist:
+    """Distribution of the messages that ``level_of_obs`` gives the observations."""
     joint_out = _sum_by(level_of_obs, joint, out_size)
     alphabet = MessageAlphabet(symmetrize_llrs(_llrs_from_joint(joint_out)))
-    return level_of_obs, MessageDist(alphabet, joint_out)
+    return MessageDist(alphabet, joint_out)
 
 
 def quantize_channel(design_ebn0_db, rate, w):
@@ -311,33 +317,42 @@ def quantize_channel(design_ebn0_db, rate, w):
     return edges[1:-1][steps > 0], dist
 
 
-def build_f_table(dist: MessageDist, mode: str):
+def _f_pair_joint(p):
+    """p(x, t1, t2) as (2, size^2): x is the XOR of two branch bits, each with joint p."""
+    return np.stack([
+        p[0][:, None] * p[0][None, :] + p[1][:, None] * p[1][None, :],
+        p[0][:, None] * p[1][None, :] + p[1][:, None] * p[0][None, :],
+    ]).reshape(2, -1)
+
+
+def build_f_table(dist: MessageDist):
     """Decoding table for an upper-branch (f) update of two messages t1, t2
     that follow the parent ``dist``; the output keeps its alphabet size.
 
     The relevant bit is the XOR of the two branch bits; the pair is scored
-    with the exact box-plus ("exact") or the min-sum rule ("minsum") on the
-    translation LLRs. Returns (mapping, MessageDist), mapping[t1, t2] = t_out.
+    with the exact box-plus on the translation LLRs. Returns (mapping,
+    MessageDist), mapping[t1, t2] = t_out.
     """
-    if mode not in ("exact", "minsum"):
-        raise LutDesignError(f"unknown design mode {mode!r}")
-    llr, p = dist.alphabet.llr_table, dist.joint
+    llr = dist.alphabet.llr_table
     size = llr.size
-    joint = np.stack([
-        p[0][:, None] * p[0][None, :] + p[1][:, None] * p[1][None, :],
-        p[0][:, None] * p[1][None, :] + p[1][:, None] * p[0][None, :],
-    ])
     # unclipped scores: these are sort keys, and clipping would alias
-    # distinct levels once deep distributions saturate
-    if mode == "exact":
-        scores = f_exact(llr[:, None], llr[None, :], clip=np.inf)
-    else:
-        scores = f_minsum(llr[:, None], llr[None, :])
+    # distinct levels once deep distributions saturate; below ~1e-8 the
+    # box-plus of two LLRs can cancel to 0 in float: those take t1's side
+    scores = f_exact(llr[:, None], llr[None, :], clip=np.inf)
     t1_upper = np.broadcast_to((np.arange(size) >= size // 2)[:, None], scores.shape)
     level_of_obs, out = _design_symmetric(
-        scores.ravel(), joint.reshape(2, -1), size, zero_upper=t1_upper.ravel()
+        scores.ravel(), _f_pair_joint(dist.joint), size, zero_upper=t1_upper.ravel()
     )
     return level_of_obs.reshape(size, size).astype(np.int16), out
+
+
+def _msib_f_dist(dist: MessageDist) -> MessageDist:
+    """Output of an MSIB f update on ``dist``: min-sum scores take exactly 2^w
+    values, one level each, so the designed mapping is the index rule."""
+    size = dist.alphabet.size
+    idx = np.arange(size)
+    level_of_obs = msib_f_index(idx[:, None], idx[None, :], size).ravel()
+    return _output_dist(level_of_obs, _f_pair_joint(dist.joint), size)
 
 
 def build_g_table(dist: MessageDist):
@@ -406,27 +421,23 @@ class LutSet:
         return 1 << self.w
 
     def table_counts(self):
-        """(decoding, translation) table counts; MSIB counts the channel
-        quantizer as a decoding table in place of the index-rule f updates."""
-        stored = len(self.decoding_tables)
-        decoding = stored + 1 if self.variant == "msib" else stored
-        return decoding, len(self.translation_tables)
+        """(decoding, translation) counts: ``tree.table_counts`` of any tree it decodes on."""
+        return len(self.decoding_tables) + (self.variant == "msib"), len(self.translation_tables)
 
 
 def design_lutset(code: PolarCode, tree: DecoderTree, variant: str,
                   design_ebn0_db: float, w: int) -> LutSet:
     """Evolve the channel distribution down the pruned tree and emit tables.
 
-    Per f-edge and g-edge a decoding table is designed from the parent node's
-    distribution, which both of its inputs follow (IB scores f updates with
-    the exact box-plus, MSIB with min-sum; MSIB f-edges then need no stored
-    table since the mapping is the index rule). The distribution arriving at
-    each leaf provides that leaf's translation table.
+    Per g-edge, and per f-edge of an IB set, a decoding table is designed
+    from the parent node's distribution, which both of its inputs follow. An
+    MSIB f-edge stores no table: its mapping is the index rule, which gives
+    its output distribution directly. The distribution arriving at each leaf
+    provides that leaf's translation table.
     """
     if variant not in ("ib", "msib"):
         raise LutDesignError(f"unknown variant {variant!r}")
     thresholds, channel = quantize_channel(design_ebn0_db, code.rate, w)
-    f_mode = "exact" if variant == "ib" else "minsum"
     lutset = LutSet(
         block_len=code.block_len,
         payload_len=code.payload_len,
@@ -442,9 +453,10 @@ def design_lutset(code: PolarCode, tree: DecoderTree, variant: str,
         if node.is_leaf:
             lutset.translation_tables[node.leaf_id] = dist.alphabet.llr_table
             return
-        f_map, f_dist = build_f_table(dist, f_mode)
         if variant == "ib":
-            lutset.decoding_tables[node.f_edge_id] = f_map
+            lutset.decoding_tables[node.f_edge_id], f_dist = build_f_table(dist)
+        else:
+            f_dist = _msib_f_dist(dist)
         rec(node.left, f_dist)
         g_map, g_dist = build_g_table(dist)
         lutset.decoding_tables[node.g_edge_id] = g_map
@@ -524,13 +536,19 @@ def load_lutset(path) -> LutSet:
         if arity not in (2, 3):
             raise LutDesignError(f"decoding table {key}: arity must be 2 or 3, got {arity!r}")
         shape = (size, size) if arity == 2 else (size, size, 2)
-        table = np.asarray(entry.get("table"))
-        if table.dtype.kind != "i" or table.shape != (np.prod(shape),):
+        table = entry.get("table")
+        # JSON integers only: numpy would read a true as message 1
+        if type(table) is not list or len(table) != np.prod(shape) \
+                or set(map(type, table)) != {int}:
             raise LutDesignError(f"decoding table {key}: arity {arity} at w={w} needs "
                                  f"{np.prod(shape)} integer entries")
+        try:
+            table = np.fromiter(table, dtype=np.int16, count=len(table))
+        except OverflowError:  # beyond int16, so beyond any alphabet
+            table = np.array([size])
         if table.min() < 0 or table.max() >= size:
             raise LutDesignError(f"decoding table {key}: entries must lie in [0, {size})")
-        decoding[table_id] = table.astype(np.int16).reshape(shape)
+        decoding[table_id] = table.reshape(shape)
     translation = {}
     for key, llrs in _field(doc, "translation_tables", dict).items():
         table_id = _table_id("translation", key)

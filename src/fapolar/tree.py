@@ -84,18 +84,6 @@ class DecoderTree:
     def __post_init__(self):
         object.__setattr__(self, "leaf_count", len(self.schedule))
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edge_kinds)
-
-    @property
-    def f_edge_count(self) -> int:
-        return sum(1 for k in self.edge_kinds if k == "f")
-
-    @property
-    def g_edge_count(self) -> int:
-        return sum(1 for k in self.edge_kinds if k == "g")
-
     def schedule_hash(self) -> str:
         """Identity of the schedule; hashed on the first call (LUT decoders check
         it every frame), so trees never used with a LUT set skip the cost."""
@@ -143,18 +131,20 @@ def sc_tree(code: PolarCode) -> DecoderTree:
     return build_tree(code, enabled_kinds=frozenset())
 
 
-def table_counts(tree: DecoderTree, variant: str) -> tuple:
-    """(decoding_tables, translation_tables) needed by a quantized decoder.
-
-    IB stores a table per edge. MSIB replaces every f-table with index
-    arithmetic, leaving the g-tables plus the channel quantizer.
-    """
+def stored_tables(tree: DecoderTree, variant: str) -> dict:
+    """Edge id -> arity of every decoding table a quantized decoder stores: IB
+    one per edge (arity 2 on f edges, 3 with the fed-back bit on g edges), MSIB
+    the g tables only, as its f updates are the index rule on every edge."""
     if variant not in ("ib", "msib"):
         raise ValueError(f"unknown variant {variant!r}")
-    translation = tree.leaf_count
-    if variant == "ib":
-        return tree.edge_count, translation
-    return tree.g_edge_count + 1, translation
+    return {edge_id: 3 if kind == "g" else 2 for edge_id, kind in enumerate(tree.edge_kinds)
+            if kind == "g" or variant == "ib"}
+
+
+def table_counts(tree: DecoderTree, variant: str) -> tuple:
+    """(decoding_tables, translation_tables) needed by a quantized decoder:
+    the stored tables, plus the channel quantizer in place of MSIB's f tables."""
+    return len(stored_tables(tree, variant)) + (variant == "msib"), tree.leaf_count
 
 
 def dump_schedule(tree: DecoderTree):

@@ -67,17 +67,27 @@ def test_lut_decoder_refuses_mismatched_set(n64_setup, n64_ib):
         fp.decode(code, sc, np.zeros(64), cfg, sc_set)  # float input
 
 
-@pytest.mark.parametrize("case", ["g-dropped", "f-arity-3", "leaf-dropped", "leaf-extra"])
+@pytest.mark.parametrize("case", ["g-dropped", "f-arity-3", "leaf-dropped", "leaf-extra",
+                                  "msib-f-stray", "unknown-id"])
 def test_uncovered_set_refused_before_walk(n64_setup, n64_ib, monkeypatch, case):
     # coverage is checked when the ops are built: the error names the edge or
     # leaf, and no node is visited (a swapped arity used to be an IndexError
-    # in the middle of the walk)
+    # in the middle of the walk); stray tables are refused too, so the set's
+    # table count is the tree's
     code, _, fast = n64_setup
     _, fast_set = n64_ib
+    if case == "msib-f-stray":
+        fast_set = design_lutset(code, fast, "msib", 2.0, W4)
     lutset = dataclasses.replace(fast_set, decoding_tables=dict(fast_set.decoding_tables),
                                  translation_tables=dict(fast_set.translation_tables))
     f_edge, g_edge = (fast.edge_kinds.index(kind) for kind in "fg")
-    if case == "g-dropped":
+    if case == "msib-f-stray":  # an f table the index rule would shadow
+        lutset.decoding_tables[f_edge] = np.zeros((16, 16), dtype=np.int16)
+        name = f"decoding table {f_edge}"
+    elif case == "unknown-id":
+        lutset.decoding_tables[len(fast.edge_kinds)] = np.zeros((16, 16, 2), dtype=np.int16)
+        name = f"decoding table {len(fast.edge_kinds)}"
+    elif case == "g-dropped":
         del lutset.decoding_tables[g_edge]
         name = f"g edge {g_edge}"
     elif case == "f-arity-3":
@@ -124,7 +134,7 @@ def test_touched_tables_audit(n64_setup):
 
     res = fp.decode(code, fast, quantize_rx(msib_fast.channel_thresholds, y), cfg, msib_fast)
     assert res.touched_decoding == set(msib_fast.decoding_tables.keys())
-    assert len(res.touched_decoding) == fast.g_edge_count
+    assert len(res.touched_decoding) == fast.edge_kinds.count("g")
     # the tabulated f rule is no designed table: only g edges are touched, and
     # with the channel quantizer they make the advertised msib count
     assert res.touched_decoding == {e for e, kind in enumerate(fast.edge_kinds) if kind == "g"}
@@ -134,7 +144,7 @@ def test_touched_tables_audit(n64_setup):
     res = fp.decode(code, sc, quantize_rx(msib_sc.channel_thresholds, y), cfg, msib_sc)
     # every stored table is a g table and all of them are used: with the
     # channel quantizer that is exactly the advertised msib decoding count
-    assert len(res.touched_decoding) == sc.g_edge_count == 63
+    assert len(res.touched_decoding) == sc.edge_kinds.count("g") == 63
     assert len(res.touched_translation) == 64
 
 
@@ -164,7 +174,7 @@ def test_root_leaf_translation_matches_float_bit_for_bit():
     # the float decoder run on the translated message values
     code = fp.construct(16, 16, 0)
     tree = fp.build_tree(code)
-    assert tree.leaf_count == 1 and tree.edge_count == 0
+    assert tree.leaf_count == 1 and len(tree.edge_kinds) == 0
     lutset = design_lutset(code, tree, "ib", 3.0, W4)
     table = lutset.translation_tables[0]
     cfg = fp.ListConfig(list_size=4)

@@ -11,9 +11,13 @@ import pytest
 from scipy.special import ndtr
 
 import fapolar as fp
+from fapolar.arith import f_exact, f_minsum
 from fapolar.lutdesign import (
     LutDesignError,
     MessageAlphabet,
+    MessageDist,
+    _design_symmetric,
+    _msib_f_dist,
     build_f_table,
     build_g_table,
     design_lutset,
@@ -26,6 +30,7 @@ from fapolar.lutdesign import (
     save_lutset,
     symmetrize_llrs,
 )
+from fapolar.tree import stored_tables
 
 W4 = 4
 SIZE4 = 16
@@ -243,22 +248,61 @@ def test_channel_quantizer_bytes_pinned(ebn0_db, rate, w):
 
 def test_f_table_symmetric_output_and_mi_bound(channel4):
     _, dist = channel4
-    for mode in ("exact", "minsum"):
-        mapping, out = build_f_table(dist, mode)
-        assert mapping.shape == (SIZE4, SIZE4)
-        assert set(np.unique(mapping)) == set(range(SIZE4))  # every level used
+    mapping, out = build_f_table(dist)
+    assert mapping.shape == (SIZE4, SIZE4)
+    assert set(np.unique(mapping)) == set(range(SIZE4))  # every level used
+    for out in (out, _msib_f_dist(dist)):
         llr = out.alphabet.llr_table
         assert np.array_equal(llr, -llr[::-1])
         assert mutual_information(out.joint) <= mutual_information(dist.joint) + 1e-12
 
 
+def test_f_table_places_zero_box_plus_scores():
+    # in float the box-plus of two LLRs below ~1e-8 cancels to 0; such pairs
+    # still get a middle level by the side of t1 (the N=64 SC IB design at
+    # w=6 and -1 dB meets them)
+    llr = np.array([-2.0, -1e-9, 1e-9, 2.0])
+    assert f_exact(llr[1], llr[1], clip=np.inf) == 0.0
+    p0 = np.array([0.025, 0.1, 0.125, 0.25])
+    mapping, out = build_f_table(MessageDist(MessageAlphabet(llr), np.stack([p0, p0[::-1]])))
+    assert mapping.tolist() == [[3, 2, 1, 0], [2, 1, 1, 1], [1, 2, 2, 2], [0, 1, 2, 3]]
+    assert np.array_equal(out.alphabet.llr_table, -out.alphabet.llr_table[::-1])
+
+
+def minsum_designed_f(dist):
+    """The MSIB f update as the quantizer DP designs it on min-sum scores:
+    (mapping, MessageDist)."""
+    llr, p = dist.alphabet.llr_table, dist.joint
+    size = llr.size
+    joint = np.stack([
+        p[0][:, None] * p[0][None, :] + p[1][:, None] * p[1][None, :],
+        p[0][:, None] * p[1][None, :] + p[1][:, None] * p[0][None, :],
+    ])
+    scores = f_minsum(llr[:, None], llr[None, :])
+    t1_upper = np.broadcast_to((np.arange(size) >= size // 2)[:, None], scores.shape)
+    level_of_obs, out = _design_symmetric(
+        scores.ravel(), joint.reshape(2, -1), size, zero_upper=t1_upper.ravel()
+    )
+    return level_of_obs.reshape(size, size), out
+
+
 def test_f_table_minsum_equals_index_rule():
-    for w in (2, 3, 4):
+    # the MSIB design skips the DP: its f mapping is the index rule and its
+    # output distribution sums the pair joint through it, bit for bit
+    for w in range(1, 7):
         size = 1 << w
-        _, dist = quantize_channel(0.5, 0.5, w)
-        mapping, _ = build_f_table(dist, "minsum")
         t1, t2 = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
-        assert np.array_equal(mapping, msib_f_index(t1, t2, size))
+        frontier = [quantize_channel(0.5, 0.5, w)[1]]
+        for _ in range(3):  # the channel, then every f/g path of 1 and 2 steps
+            deeper = []
+            for dist in frontier:
+                mapping, designed = minsum_designed_f(dist)
+                assert np.array_equal(mapping, msib_f_index(t1, t2, size))
+                shortcut = _msib_f_dist(dist)
+                assert shortcut.joint.tobytes() == designed.joint.tobytes()
+                assert shortcut.alphabet.llr_table.tobytes() == designed.alphabet.llr_table.tobytes()
+                deeper += [designed, build_g_table(dist)[1]]
+            frontier = deeper
 
 
 def test_g_table_covers_full_domain_and_gains_information(channel4):
@@ -329,7 +373,6 @@ def test_msib_index_commutes_with_translation_sign(channel4):
     llr = dist.alphabet.llr_table
     t1, t2 = np.meshgrid(np.arange(SIZE4), np.arange(SIZE4), indexing="ij")
     out = msib_f_index(t1, t2, SIZE4)
-    from fapolar.arith import f_minsum
     reference = f_minsum(llr[t1], llr[t2])
     assert np.all(np.sign(llr[out]) == np.sign(reference))
 
@@ -356,6 +399,8 @@ def test_design_counts_match_tree_counts():
             tree = fp.build_tree(code, kinds)
             lutset = design_lutset(code, tree, variant, 1.0, 3)
             assert lutset.table_counts() == fp.table_counts(tree, variant)
+            assert {edge_id: table.ndim for edge_id, table in lutset.decoding_tables.items()} \
+                == stored_tables(tree, variant)
 
 
 def test_design_translation_tables_all_valid(code8):
@@ -376,7 +421,7 @@ def test_design_evolution_respects_data_processing():
         if node.is_leaf:
             return
         parent_mi = mutual_information(dist.joint)
-        _, f_out = build_f_table(dist, "exact")
+        _, f_out = build_f_table(dist)
         assert mutual_information(f_out.joint) <= parent_mi + 1e-12
         _, g_out = build_g_table(dist)
         assert mutual_information(g_out.joint) >= parent_mi - 1e-12
@@ -449,6 +494,20 @@ def saved_sha256(lutset, path):
 def test_fast_lutset_bytes_pinned(tmp_path, block_len, payload_len, variant, design_db, digest):
     code = fp.construct(block_len, payload_len, 16)
     lutset = design_lutset(code, fp.build_tree(code), variant, design_db, W4)
+    assert saved_sha256(lutset, tmp_path / "set.json") == digest
+
+
+# sha256 of the saved bytes, recorded while MSIB f edges were still designed
+# with the quantizer DP on min-sum scores
+@pytest.mark.parametrize("w,digest", [
+    (1, "95fe993cdfff1f686a8cdf48fa3dcb1a1b9866eaabc3e94fb0bdd62918101987"),
+    (2, "91e1c51c04a6e8b29bee1492c6ab877bfdb75677d3ddc25c47e1edbe2ce7eb49"),
+    (6, "259dc9241ca3036a6d36aa6a8b3ea5e41f7c9f096fd367d97c5e30679782071a"),
+    (8, "f0240e3f6e5afca99edbc576adb3cbf3d528ca90110dbfdc4f08630918830fb7"),
+])
+def test_n64_msib_lutset_bytes_pinned(tmp_path, w, digest):
+    code = fp.construct(64, 32, 16)
+    lutset = design_lutset(code, fp.build_tree(code), "msib", 2.0, w)
     assert saved_sha256(lutset, tmp_path / "set.json") == digest
 
 
@@ -547,6 +606,8 @@ def set_decoding_table(value):
     (set_decoding_entry(-3), "in [0, 16)"),       # used to index from the end
     (set_decoding_entry(16), "in [0, 16)"),
     (set_decoding_entry(2.5), "integer entries"),
+    (set_decoding_entry(True), "integer entries"),  # numpy would read message 1
+    (set_decoding_entry(2 ** 70), "in [0, 16)"),
     (set_translation([-1.0, 1.0]), "w=4 needs 16"),
     (set_translation([float(v) for v in range(-8, 8)]), "odd-symmetric"),
     (set_translation([float(v) for v in range(8, -8, -1)]), "strictly increasing"),
@@ -570,7 +631,7 @@ def set_decoding_table(value):
      "finite"),
     (set_key("channel_thresholds", list(range(-7, 8))), "floats"),
 ], ids=["w0", "w16", "w20", "w-float", "arity4", "arity-shape", "entry-negative",
-        "entry-too-large", "entry-float", "translation-size", "translation-asymmetric",
+        "entry-too-large", "entry-float", "entry-bool", "entry-huge", "translation-size", "translation-asymmetric",
         "translation-decreasing", "translation-string", "translation-infinite",
         "decoding-entry-list", "decoding-id-word", "decoding-id-leading-zero",
         "translation-id-negative",

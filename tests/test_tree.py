@@ -50,13 +50,13 @@ def test_build_tree_textbook_fast(code8):
     tree = fp.build_tree(code8)
     assert [(s.depth, s.kind, s.size) for s in tree.schedule] == [
         (1, NodeKind.REP, 4), (1, NodeKind.SPC, 4)]
-    assert tree.edge_count == 2 and tree.leaf_count == 2
+    assert len(tree.edge_kinds) == 2 and tree.leaf_count == 2
     assert fp.dump_schedule(tree) == [(1, 1, "Rep", 4, 0), (2, 1, "SPC", 4, 4)]
 
 
 def test_build_tree_textbook_ssc(code8):
     tree = fp.build_tree(code8, kinds("R0", "R1"))
-    assert tree.edge_count == 10 and tree.leaf_count == 6
+    assert len(tree.edge_kinds) == 10 and tree.leaf_count == 6
 
 
 def test_build_tree_paper_scale_schedule(nr_seq):
@@ -80,7 +80,7 @@ def test_schedule_matches_golden_file(nr_seq):
 def test_sc_tree_shape(code8):
     tree = fp.sc_tree(code8)
     assert tree.leaf_count == 8
-    assert tree.edge_count == 14
+    assert len(tree.edge_kinds) == 14
     assert all(s.size == 1 for s in tree.schedule)
 
 
@@ -104,8 +104,8 @@ def test_tree_invariants_on_random_masks():
             covered.extend(range(s.span_start, s.span_start + s.size))
         assert covered == list(range(n_bits))
         if tree.leaf_count >= 2:
-            assert tree.edge_count == 2 * tree.leaf_count - 2
-        assert tree.f_edge_count == tree.g_edge_count == tree.leaf_count - 1
+            assert len(tree.edge_kinds) == 2 * tree.leaf_count - 2
+        assert tree.edge_kinds.count("f") == tree.edge_kinds.count("g") == tree.leaf_count - 1
         dec, trans = fp.table_counts(tree, "msib")
         assert dec == trans == tree.leaf_count
 
@@ -116,7 +116,7 @@ def test_empty_kinds_gives_full_tree():
         code = _random_code(rng, 32)
         tree = fp.build_tree(code, frozenset())
         assert tree.leaf_count == 32
-        assert tree.edge_count == 62
+        assert len(tree.edge_kinds) == 62
         leaf_kinds = {s.kind for s in tree.schedule}
         assert leaf_kinds <= {NodeKind.R0, NodeKind.R1}
 
