@@ -181,7 +181,10 @@ class _FloatOps:
         self.f = f_minsum if metric_mode == "approx" else f_exact
 
     def root_messages(self, y):
-        return np.asarray(y, dtype=np.float64)
+        llrs = np.asarray(y, dtype=np.float64)
+        if np.isnan(llrs).any():
+            raise ValueError("channel LLRs contain NaN")
+        return llrs
 
     def f_update(self, node, a, b, out):
         self.f(a, b, out=out)
@@ -197,15 +200,16 @@ class _FloatOps:
 
 
 class ListEngine:
-    """One decode pass over a tree; single-use per frame, create per call."""
+    """A list decoder, set up (LUT set checked) once; each ``decode`` call walks one frame."""
 
-    def __init__(self, code: PolarCode, tree: DecoderTree, cfg: ListConfig, ops):
+    def __init__(self, code: PolarCode, tree: DecoderTree, cfg: ListConfig,
+                 lutset: LutSet = None):
         if tree.block_len != code.block_len:
             raise ValueError("tree and code block lengths differ")
         self.code = code
         self.tree = tree
         self.cfg = cfg
-        self.ops = ops
+        self.ops = _FloatOps(cfg.metric_mode) if lutset is None else _LutOps(code, tree, lutset)
 
     def decode(self, channel_msgs) -> DecodeResult:
         n_bits = self.code.block_len
@@ -298,8 +302,7 @@ def decode(code: PolarCode, tree: DecoderTree, msgs, cfg: ListConfig,
     conventional SCL). ``msgs`` are channel LLRs, or with a ``lutset`` quantized
     channel symbols, decoded by table lookups; the set is checked against the
     code and tree before the walk."""
-    ops = _FloatOps(cfg.metric_mode) if lutset is None else _LutOps(code, tree, lutset)
-    return ListEngine(code, tree, cfg, ops).decode(msgs)
+    return ListEngine(code, tree, cfg, lutset).decode(msgs)
 
 
 def ca_select(code: PolarCode, result: DecodeResult):

@@ -4,8 +4,8 @@
 these ops: interior f/g updates become table lookups on w-bit integer
 messages, and each leaf translates its messages to LLRs before the usual
 metric updates or constituent decoding. Path metrics stay floating-point.
-The set is checked against the code and tree before the walk, so a missing,
-mis-shaped or stray table is a ``LutMismatchError`` naming its edge or leaf.
+The set is checked against the code and tree when the decoder is built, so a
+missing, mis-shaped or stray table is a ``LutMismatchError`` naming its edge or leaf.
 
 The MSIB f update is the index rule ``msib_f_index`` on every edge, at design
 time and here, where it is tabulated once per alphabet size: not a stored
@@ -28,8 +28,10 @@ class LutMismatchError(ValueError):
 def quantize_rx(thresholds, y_real) -> np.ndarray:
     """Map channel outputs to messages: count of thresholds strictly below."""
     thresholds = np.asarray(thresholds, dtype=np.float64)
-    return np.searchsorted(thresholds, np.asarray(y_real, dtype=np.float64),
-                           side="left").astype(np.int16)
+    y_real = np.asarray(y_real, dtype=np.float64)
+    if np.isnan(y_real).any():
+        raise ValueError("channel outputs contain NaN")
+    return np.searchsorted(thresholds, y_real, side="left").astype(np.int16)
 
 
 @lru_cache(maxsize=None)
@@ -44,8 +46,8 @@ def _msib_f_rule(alphabet_size: int) -> np.ndarray:
 
 
 class _LutOps:
-    """Message arithmetic backed by a LutSet, checked before any lookup;
-    records the table ids it uses."""
+    """Message arithmetic backed by a LutSet, checked once when built; records
+    the table ids each frame uses."""
 
     dtype = np.int16
     levelwise_frozen = False  # tables are per edge, so frozen nodes walk node by node
@@ -82,8 +84,8 @@ class _LutOps:
         return self.lutset.translation_tables[node.leaf_id][msgs]
 
     def note_result(self, result):
-        result.touched_decoding = self.touched_decoding
-        result.touched_translation = self.touched_translation
+        result.touched_decoding, self.touched_decoding = self.touched_decoding, set()
+        result.touched_translation, self.touched_translation = self.touched_translation, set()
 
 
 def _check_match(code: PolarCode, tree: DecoderTree, lutset: LutSet):

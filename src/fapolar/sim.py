@@ -18,10 +18,12 @@ from itertools import islice
 import numpy as np
 
 from .codes import CrcConfig, PolarCode, assemble_u, construct, encode, load_sequence
-from .listdec import ListConfig, ca_select, decode
+from .listdec import ListConfig, ListEngine, ca_select
 from .lutdec import quantize_rx
 from .lutdesign import LutSet, load_lutset
 from .tree import ALL_NODE_KINDS, DecoderTree, build_tree, parse_kinds
+
+BATCH_FRAMES = 256  # frames per worker job; run_point checks its stop rule between jobs
 
 
 @dataclass(frozen=True)
@@ -70,13 +72,11 @@ def schedule_tree(code: PolarCode, schedule: str, node_kinds: str = None) -> Dec
 
 
 class FrameDecoder:
-    """Decode one frame of channel outputs to a payload guess (CRC-aided pick)."""
+    """Decode frames to payload guesses (CRC-aided pick) with one list engine."""
 
     def __init__(self, code: PolarCode, spec: DecoderSpec, lutset: LutSet = None):
         self.code = code
         self.spec = spec
-        self.tree = schedule_tree(code, spec.schedule, spec.node_kinds)
-        self.cfg = ListConfig(list_size=spec.list_size, metric_mode=spec.metric_mode)
         self.lutset = lutset
         if spec.family != "llr":
             if lutset is None:
@@ -85,14 +85,16 @@ class FrameDecoder:
                 raise ValueError(
                     f"LUT file holds a {self.lutset.variant} design, decoder is {spec.family}"
                 )
+        tree = schedule_tree(code, spec.schedule, spec.node_kinds)
+        cfg = ListConfig(list_size=spec.list_size, metric_mode=spec.metric_mode)
+        self.engine = ListEngine(code, tree, cfg, self.lutset)
 
     def __call__(self, y_real: np.ndarray, sigma: float) -> np.ndarray:
         if self.lutset is not None:
             msgs = quantize_rx(self.lutset.channel_thresholds, y_real)
         else:
             msgs = 2.0 * y_real / (sigma * sigma)
-        result = decode(self.code, self.tree, msgs, self.cfg, self.lutset)
-        _, info, _ = ca_select(self.code, result)
+        _, info, _ = ca_select(self.code, self.engine.decode(msgs))
         return info[: self.code.payload_len]
 
 
@@ -141,7 +143,7 @@ def _batch_job(args):
 def _batch_results(jobs, workers):
     """(last frame, errors) per batch, in order. With a pool, at most ``workers``
     batches are in flight and the next is submitted only when a result is read."""
-    if workers <= 1:
+    if workers == 1:
         yield from ((job[-1], _batch_job(job)) for job in jobs)
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -154,7 +156,7 @@ def _batch_results(jobs, workers):
 
 def run_point(code: PolarCode, decoder, channel: ChannelModel, *,
               seed: int = 0, max_frames: int = 10000, min_errors: int = 100,
-              batch_size: int = 256, workers: int = 1) -> SimPoint:
+              workers: int = 1) -> SimPoint:
     """Simulate one Eb/N0 point until min_errors or max_frames (whole batches).
 
     The processed frame set depends only on the stop rule, never on worker
@@ -162,10 +164,12 @@ def run_point(code: PolarCode, decoder, channel: ChannelModel, *,
     """
     if max_frames < 1 or min_errors < 0:
         raise ValueError("invalid stop criteria")
+    if workers < 1:
+        raise ValueError(f"worker count must be >= 1, got {workers}")
     t0 = time.perf_counter()
     errors = 0
-    jobs = ((code, decoder, channel, seed, s, min(s + batch_size, max_frames))
-            for s in range(0, max_frames, batch_size))
+    jobs = ((code, decoder, channel, seed, s, min(s + BATCH_FRAMES, max_frames))
+            for s in range(0, max_frames, BATCH_FRAMES))
     batches = _batch_results(jobs, workers)
     for frames_done, batch_errors in batches:
         errors += batch_errors

@@ -85,8 +85,8 @@ class DecoderTree:
         object.__setattr__(self, "leaf_count", len(self.schedule))
 
     def schedule_hash(self) -> str:
-        """Identity of the schedule; hashed on the first call (LUT decoders check
-        it every frame), so trees never used with a LUT set skip the cost."""
+        """Identity of the schedule; hashed on the first call (a LUT decoder checks
+        it when built), so trees never used with a LUT set skip the cost."""
         if self._schedule_hash is None:
             text = str(self.block_len) + "".join(
                 f"{s.depth},{s.size},{s.span_start},{s.kind.value};" for s in self.schedule)

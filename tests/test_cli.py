@@ -106,6 +106,9 @@ def test_config_errors_exit_2(capsys, tmp_path):
     assert rc == 2 and "error" in err
     rc, _, err = run_cli(capsys, "simulate", "--ebn0-list", "1.0")
     assert rc == 2
+    rc, _, err = run_cli(capsys, "simulate", "--n", "32", "--k", "12", "--ebn0-list", "2.0",
+                         "--workers", "0")
+    assert rc == 2 and "worker count" in err
     # --config values are converted like their command-line text
     cfg_file = tmp_path / "cfg.json"
     for cfg, want_rc in (({"list": "8"}, 0), ({"list": "eight"}, 2), ({"list": 8.5}, 2),

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import fapolar as fp
-from fapolar.listdec import decode_rate0, decode_rate1, decode_rep, decode_spc
+from fapolar.listdec import ListEngine, decode_rate0, decode_rate1, decode_rep, decode_spc
+from fapolar.lutdec import quantize_rx
+from fapolar.lutdesign import design_lutset
 
 from conftest import noisy_frame
 
@@ -278,6 +280,64 @@ def test_fscl_r0_rep_frame_identical_to_scl():
         b = fp.decode(code, tree, llr, cfg)
         assert {tuple(r) for r in a.x_hats} == {tuple(r) for r in b.x_hats}
         assert np.allclose(np.sort(a.metrics), np.sort(b.metrics), atol=1e-9)
+
+
+@pytest.mark.parametrize("kinds", ["sc", "r0,r1,rep,spc"])
+def test_nan_llrs_refused_before_walk(monkeypatch, kinds):
+    # a NaN LLR used to reach the metrics and could still pass the CRC;
+    # +-inf pass the check (f and the exact metric saturate at LLR_CLIP)
+    code = fp.construct(64, 28, 8)
+    tree = fp.sc_tree(code) if kinds == "sc" else fp.build_tree(code)
+    engine = ListEngine(code, tree, fp.ListConfig(list_size=4))
+
+    def walk(*args):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(ListEngine, "_walk", walk)
+    llr = np.ones(64)
+    llr[[5, 40]] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        engine.decode(llr)
+    with pytest.raises(ValueError, match="NaN"):
+        fp.decode(code, tree, llr, fp.ListConfig(list_size=4))
+    llr[[5, 40]] = np.inf, -np.inf
+    with pytest.raises(AssertionError, match="the walk started"):
+        engine.decode(llr)
+
+
+def test_reused_engine_equals_fresh_decode_frame_by_frame():
+    # one engine per decoder, frames interleaved across decoders and sizes:
+    # every result equals a decode on a freshly built engine, bit for bit,
+    # and carries only its own frame's touched tables
+    decoders = []
+    for n, k in ((64, 28), (256, 128)):
+        code = fp.construct(n, k, 8)
+        sc, fast = fp.sc_tree(code), fp.build_tree(code)
+        for tree, mode, variant in ((sc, "exact", None), (fast, "approx", None),
+                                    (fast, "approx", "msib"), (fast, "approx", "ib")):
+            lutset = design_lutset(code, fast, variant, 2.0, 4) if variant else None
+            cfg = fp.ListConfig(list_size=4, metric_mode=mode)
+            decoders.append((code, tree, cfg, lutset, ListEngine(code, tree, cfg, lutset)))
+    touched_counts, last = set(), {}
+    for frame in range(50):
+        sigma = (0.7, 0.85, 1.0)[frame % 3]
+        turn = frame % len(decoders)
+        for code, tree, cfg, lutset, engine in decoders[turn:] + decoders[:turn]:
+            _, _, y = noisy_frame(code, sigma, seed=(1200, code.block_len, frame))
+            msgs = quantize_rx(lutset.channel_thresholds, y) if lutset else 2.0 * y / sigma ** 2
+            got = engine.decode(msgs)
+            want = fp.decode(code, tree, msgs, cfg, lutset)
+            assert np.array_equal(got.u_hats, want.u_hats)
+            assert np.array_equal(got.x_hats, want.x_hats)
+            assert got.metrics.tobytes() == want.metrics.tobytes()
+            assert got.touched_decoding == want.touched_decoding
+            assert got.touched_translation == want.touched_translation
+            touched_counts.add(len(got.touched_decoding) + len(got.touched_translation))
+            if lutset and engine in last:  # a walk touches every table, so check sharing
+                assert got.touched_decoding is not last[engine].touched_decoding
+                assert got.touched_translation is not last[engine].touched_translation
+            last[engine] = got
+    assert len(touched_counts) > 1  # LUT frames touched tables, float frames none
 
 
 def test_ca_select_prefers_crc_pass():

@@ -40,6 +40,9 @@ def test_quantize_rx_edges_and_monotonicity():
     assert np.all(np.diff(t) >= 0)
     # boundary values map down
     assert quantize_rx(thresholds, 0.0) == 1
+    # NaN is no channel output: refused, not mapped to the top symbol
+    with pytest.raises(ValueError, match="NaN"):
+        quantize_rx(thresholds, [0.5, np.nan])
 
 
 def test_quantize_rx_symmetry(n64_ib):

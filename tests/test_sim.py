@@ -69,10 +69,11 @@ def test_run_point_workers_stop_submitting_at_stop_batch(monkeypatch):
             return super().submit(fn, *args)
 
     monkeypatch.setattr(sim, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(sim, "BATCH_FRAMES", 16)
     code = fp.construct(32, 12, 4)
     decoder = FrameDecoder(code, DecoderSpec(family="llr", list_size=2))
     channel = ChannelModel(-2.0, code.rate)
-    kwargs = dict(seed=4, max_frames=10 ** 6, min_errors=30, batch_size=16)
+    kwargs = dict(seed=4, max_frames=10 ** 6, min_errors=30)
     single = run_point(code, decoder, channel, **kwargs)
     pooled = run_point(code, decoder, channel, workers=2, **kwargs)
     assert (pooled.frames, pooled.block_errors) == (single.frames, single.block_errors)
@@ -83,15 +84,21 @@ def test_run_point_workers_stop_submitting_at_stop_batch(monkeypatch):
     assert len(submitted) <= single.frames // 16 + 1
 
 
-def test_run_point_stops_on_errors():
+def test_run_point_stops_on_errors(monkeypatch):
+    import fapolar.sim as sim
+
+    monkeypatch.setattr(sim, "BATCH_FRAMES", 64)
     code = fp.construct(32, 12, 4)
     decoder = FrameDecoder(code, DecoderSpec(family="llr", list_size=2))
     point = run_point(code, decoder, ChannelModel(-2.0, code.rate),
-                      seed=0, max_frames=10 ** 5, min_errors=30, batch_size=64)
+                      seed=0, max_frames=10 ** 5, min_errors=30)
     assert point.block_errors >= 30
     assert point.frames < 10 ** 5
     with pytest.raises(ValueError):
         run_point(code, decoder, ChannelModel(0.0, code.rate), max_frames=0)
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="worker count"):
+            run_point(code, decoder, ChannelModel(0.0, code.rate), workers=workers)
 
 
 def test_bler_estimator_unbiased_on_synthetic_decoder():
@@ -150,7 +157,7 @@ def test_empty_node_list_equals_sc_schedule():
                                                list_size=4, node_kinds=""))
     plain_sc = FrameDecoder(code, DecoderSpec(family="llr", schedule="sc",
                                               list_size=4))
-    assert fast_none.tree.leaf_count == code.block_len
+    assert fast_none.engine.tree.leaf_count == code.block_len
     channel = ChannelModel(2.0, code.rate)
     a = run_point(code, fast_none, channel, seed=21, max_frames=512, min_errors=0)
     b = run_point(code, plain_sc, channel, seed=21, max_frames=512, min_errors=0)
@@ -158,6 +165,7 @@ def test_empty_node_list_equals_sc_schedule():
 
 
 def test_frame_decoder_lut_roundtrip(tmp_path):
+    from fapolar.lutdec import LutMismatchError
     from fapolar.lutdesign import design_lutset, save_lutset
 
     code = fp.construct(32, 12, 4)
@@ -174,6 +182,9 @@ def test_frame_decoder_lut_roundtrip(tmp_path):
     with pytest.raises(ValueError):
         FrameDecoder(code, DecoderSpec(family="ib", schedule="fast",
                                        lut_path=str(path)))
+    # the set is checked against the schedule when the decoder is built
+    with pytest.raises(LutMismatchError, match="different schedule"):
+        FrameDecoder(code, DecoderSpec(family="msib", schedule="sc", lut_path=str(path)))
 
 
 def test_sweep_csv_bytes_pinned(tmp_path):
@@ -198,3 +209,25 @@ def test_sweep_csv_bytes_pinned(tmp_path):
         write_csv(sweep(code, spec, [1.0, 2.0], seed=5, max_frames=64, min_errors=0),
                   tmp_path / "out.csv")
         assert (tmp_path / "out.csv").read_bytes() == header + rows
+
+
+def test_lut_set_checked_once_per_decoder(monkeypatch):
+    # the set is checked when the decoder is built, not again for each frame
+    import fapolar.lutdec as lutdec
+    from fapolar.lutdesign import design_lutset
+
+    code = fp.construct(64, 28, 8)
+    lutset = design_lutset(code, fp.build_tree(code), "msib", 2.0, 4)
+    checks, real_check = [], lutdec._check_match
+
+    def counting_check(*args):
+        checks.append(args)
+        return real_check(*args)
+
+    monkeypatch.setattr(lutdec, "_check_match", counting_check)
+    spec = DecoderSpec(family="msib", schedule="fast", list_size=4, lut_path="(in-memory)")
+    decoder = FrameDecoder(code, spec, lutset=lutset)
+    point = run_point(code, decoder, ChannelModel(2.0, code.rate), seed=3, max_frames=256,
+                      min_errors=0)
+    assert point.frames == 256
+    assert len(checks) == 1
