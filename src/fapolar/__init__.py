@@ -13,7 +13,6 @@ from .codes import (
     crc_check,
     encode,
     extract_info_bits,
-    extract_payload,
     load_sequence,
     nr_sequence,
     polar_transform,

@@ -13,34 +13,37 @@ def hard_decision(llr):
 
 
 def f_exact(a, b, clip: float = LLR_CLIP, out=None):
-    """Box-plus combine of two LLRs, log-domain form, saturated at +-clip.
-
-    With ``out`` the result is written there; inputs are read before it is.
-    """
+    """Box-plus combine of two LLRs, log-domain form, saturated at +-clip:
+    sign(a) sign(b) (m + log1p(exp(-m - M)) - log1p(exp(m - M))) for m <= M
+    the clipped magnitudes. With ``out`` the result is written there; inputs
+    are read before it is."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    sign = np.where((a < 0) != (b < 0), -1.0, 1.0)
-    mag_a = np.minimum(np.abs(a), clip)
-    mag_b = np.minimum(np.abs(b), clip)
-    far = np.log1p(np.exp(-(mag_a + mag_b)))
-    near = np.log1p(np.exp(-np.abs(mag_a - mag_b)))
+    sign = np.sign(a) * np.sign(b)  # np.sign(-0.0) is +0.0: zeros keep the (a < 0) != (b < 0) sign
+    mag_a, mag_b = np.minimum(np.abs(a), clip), np.minimum(np.abs(b), clip)
+    lo, hi = np.minimum(mag_a, mag_b), np.maximum(mag_a, mag_b)
+    terms = np.empty((2,) + lo.shape)  # exponents -(m + M) and m - M = -|mag_a - mag_b|
+    np.negative(np.add(lo, hi, out=terms[0, ...]), out=terms[0, ...])
+    np.subtract(lo, hi, out=terms[1, ...])
+    far, near = np.log1p(np.exp(terms, out=terms), out=terms)  # one pass each for both
     # never above min(|a|, |b|) <= clip, so the result needs no clip
-    return np.multiply(np.minimum(mag_a, mag_b) + far - near, sign, out=out)
+    return np.multiply(lo + far - near, sign, out=out)
 
 
 def f_minsum(a, b, out=None):
     """Min-sum approximation of the box-plus: sign(a*b) * min(|a|, |b|)."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    sign = np.where((a < 0) != (b < 0), -1.0, 1.0)
-    return np.multiply(np.minimum(np.abs(a), np.abs(b)), sign, out=out)
+    return np.copysign(np.minimum(np.abs(a), np.abs(b)), a * b, out=out)
+
+
+_BIT_SIGN = np.array([1.0, -1.0])
 
 
 def g_func(a, b, bit, out=None):
-    """LLR for the lower branch once the upper-branch bit is known:
-    ``(-a) + b``, which is ``b - a``, where the bit is set, else ``a + b``."""
-    a = np.asarray(a, dtype=np.float64)
-    return np.add(np.where(np.asarray(bit) != 0, -a, a), b, out=out)
+    """LLR for the lower branch once the upper-branch bit (0 or 1) is known:
+    ``a * (1 - 2 bit) + b``, which is ``b - a`` where the bit is set."""
+    return np.add(np.multiply(a, _BIT_SIGN.take(bit, mode="clip")), b, out=out)
 
 
 def combine_bits(beta_left, beta_right, out=None):
@@ -64,7 +67,7 @@ def metric_increment(bit, llr, mode: str):
     and nothing otherwise; "exact" charges log(1 + exp(-(1-2*bit)*llr)).
     """
     llr = np.asarray(llr, dtype=np.float64)
-    flip = np.asarray(bit) != 0
+    flip = np.asarray(bit, dtype=bool)  # a bool bit array passes through as is
     if mode == "approx":
         return np.where(flip != (llr < 0), np.abs(llr), 0.0)
     if mode == "exact":

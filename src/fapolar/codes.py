@@ -215,11 +215,6 @@ def extract_info_bits(code: PolarCode, u) -> np.ndarray:
     return u[..., code.info_set]
 
 
-def extract_payload(code: PolarCode, u) -> np.ndarray:
-    info = extract_info_bits(code, u)
-    return info[..., : code.payload_len] if code.crc_len else info
-
-
 def crc_check(code: PolarCode, info_bits) -> bool:
     """True iff the trailing CRC bits match the CRC of the leading payload bits."""
     info_bits = np.asarray(info_bits, dtype=np.uint8)

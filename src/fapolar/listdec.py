@@ -1,10 +1,12 @@
 """SC / SCL / fast-SCL decoding: one entry point, ``decode``.
 
-The list engine walks a decoder tree, unpruned (SCL) or pruned (fast SCL).
-Interior nodes apply the f/g updates; leaves either fork paths bit-by-bit
-(single-bit leaves) or run a one-shot constituent decoder (rate-0, rate-1,
-repetition, single parity check). Given a LUT set, the walk swaps the LLR
-arithmetic for table lookups (``lutdec``) and translates messages at leaves.
+A ``ListEngine`` compiles a decoder tree, unpruned (SCL) or pruned (fast SCL),
+once into a flat tuple of steps in activation order: the f, g and combine of
+each interior node, level-by-level all-frozen subtrees, and leaves, where a
+single bit is decided (frozen) or forks every path, and a special span runs a
+one-shot constituent decoder (rate-0, rate-1, repetition, single parity
+check). A frame is one loop over the steps. Given a LUT set, f/g steps are
+table lookups (``lutdec``) and leaves first translate messages to LLRs.
 
 All constituent decoders use the hardware-friendly approximate path metric.
 Candidate order is deterministic: parent path first, fork flag 0 before 1,
@@ -12,15 +14,16 @@ and ties in the pruning sort keep that order. The rate-1 and SPC decoders
 split on their least reliable bits (Hashemi, Condo & Gross, IEEE TSP 2017),
 stop once a split leaves the list in place, and flip the survivors' bits once.
 
-Every fork copies the path state, so it holds only what the rest of the walk
-reads (Tal & Vardy's per-depth layout, LLR form). Messages into the current
-node of size s sit in ``msgs[:, s:2s]`` of a (paths, N) array; the root reads
-the channel row, shared by all paths. That node's two child outputs sit in
-``bits[:, s:2s]`` of a (paths, 2N) array; the codeword estimate ends in
-``bits[:, N:2N]``, and the input estimate is one transform of the final list.
+A leaf that moves paths copies the path state, which holds only what later
+steps read (Tal & Vardy's per-depth layout, LLR form): messages into a node of
+size s in ``msgs[:, s:2s]`` of a (paths, N) array (the root reads the shared
+channel row), its child outputs in ``bits[:, s:2s]`` of a (paths, 2N) array,
+the codeword estimates finally in ``bits[:, N:2N]``. Steps hold column slices,
+never arrays, so no replaced path state outlives its step.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -71,8 +74,20 @@ def _fork_prune(metrics_keep, metrics_fork, list_size):
     return parent, fork.astype(np.uint8), cands[sel]
 
 
-def decode_rate0(metrics, alpha):
-    """All-frozen span: no forking, charge the hard-decision mismatch penalty."""
+@lru_cache(maxsize=None)
+def _rows(paths):
+    return np.arange(paths).tobytes()
+
+
+def _in_place(parent, paths):
+    """True when the survivors are the ``paths`` incoming paths, each in its own
+    row (compared as bytes: a tenth of the cost of a numpy comparison)."""
+    return parent.tobytes() == _rows(paths)
+
+
+def decode_rate0(metrics, alpha, list_size=None):
+    """All-frozen span: no forking, charge the hard-decision mismatch penalty
+    (``list_size`` is unused: every constituent decoder takes it)."""
     alpha = np.atleast_2d(alpha)
     penalty = np.sum(np.where(alpha < 0, np.abs(alpha), 0.0), axis=1)
     parent = np.arange(alpha.shape[0])
@@ -118,7 +133,7 @@ def decode_rate1(metrics, alpha, list_size):
     splits = []
     for step in range(min(list_size - 1, alpha.shape[1])):
         parent, fork, new_mu = _fork_prune(mu, mu + mag[origin, step], list_size)
-        if not fork.any() and np.array_equal(parent, np.arange(mu.size)):
+        if not fork.any() and _in_place(parent, mu.size):
             break
         splits.append((parent, fork))
         origin, mu = origin[parent], new_mu
@@ -149,7 +164,7 @@ def decode_spc(metrics, alpha, list_size):
     for step in range(1, min(list_size, alpha.shape[1])):
         cost = mag[origin, step] + (1.0 - 2.0 * parity) * min_mag[origin]
         parent, fork, new_mu = _fork_prune(mu, mu + cost, list_size)
-        if not fork.any() and np.array_equal(parent, np.arange(mu.size)):
+        if not fork.any() and _in_place(parent, mu.size):
             break
         splits.append((parent, fork))
         origin, parity, mu = origin[parent], parity[parent] ^ fork, new_mu
@@ -161,10 +176,38 @@ def decode_spc(metrics, alpha, list_size):
     return origin, mu, beta
 
 
-_BIT_PAIR = np.array([[0], [1]])  # one metric_increment call prices both decisions
+_BIT_PAIR = np.array([[False], [True]])  # one metric_increment call prices both decisions
+
+
+def _decode_frozen(metrics, llrs, list_size, f, mode):
+    """All-frozen span on LLRs, a single bit or a subtree. No leaf LLR depends
+    on a decision, so each level takes one f call and one add (g with bit 0)
+    for all of its nodes; the bit-0 increments are then added in leaf order,
+    as a node-by-node walk adds them. Every path stays in place."""
+    paths, size = llrs.shape
+    llrs = llrs[:, None, :]            # (paths, nodes of this level, node size)
+    while llrs.shape[2] > 1:
+        half = llrs.shape[2] // 2
+        a, b = llrs[:, :, :half], llrs[:, :, half:]
+        child = np.empty((paths, llrs.shape[1], 2, half))
+        f(a, b, out=child[:, :, 0])
+        np.add(a, b, out=child[:, :, 1])
+        llrs = child.reshape(paths, -1, half)
+    terms = np.empty((size + 1, paths))
+    terms[0] = metrics
+    terms[1:] = metric_increment(0, llrs[:, :, 0].T, mode)
+    return None, np.add.accumulate(terms)[-1], 0
+
+
+def _decode_info_bit(metrics, llrs, list_size, mode):
+    """Information single bit: every path forks to both decisions, then prune."""
+    keep, fork = metrics + metric_increment(_BIT_PAIR, llrs[:, 0], mode)
+    parent, fork, mu = _fork_prune(keep, fork, list_size)
+    return parent, mu, fork[:, None]
+
 
 _SPECIAL_DECODERS = {
-    NodeKind.R0: lambda mu, a, L: decode_rate0(mu, a),
+    NodeKind.R0: decode_rate0,
     NodeKind.REP: decode_rep,
     NodeKind.R1: decode_rate1,
     NodeKind.SPC: decode_spc,
@@ -175,15 +218,15 @@ class _FloatOps:
     """Message arithmetic for LLR-domain decoding; updates write into ``out``."""
 
     dtype = np.float64
-    levelwise_frozen = True  # all-frozen interior nodes evaluate level by level
+    levelwise_frozen = True  # all-frozen interior nodes are one step, level by level
 
-    def __init__(self, metric_mode: str):
-        self.f = f_minsum if metric_mode == "approx" else f_exact
+    def __init__(self, f):
+        self.f = f
 
     def root_messages(self, y):
         llrs = np.asarray(y, dtype=np.float64)
-        if np.isnan(llrs).any():
-            raise ValueError("channel LLRs contain NaN")
+        if not np.isfinite(llrs).all():
+            raise ValueError("channel LLRs must be finite: NaN or +-inf found")
         return llrs
 
     def f_update(self, node, a, b, out):
@@ -199,8 +242,15 @@ class _FloatOps:
         pass
 
 
+@lru_cache(maxsize=None)
+def _cols(lo, hi):
+    """Columns lo..hi-1 of every path, one shared index per span."""
+    return slice(None), slice(lo, hi)
+
+
 class ListEngine:
-    """A list decoder, set up (LUT set checked) once; each ``decode`` call walks one frame."""
+    """A list decoder, set up once (LUT set checked, tree compiled to steps);
+    each ``decode`` call runs the steps on one frame."""
 
     def __init__(self, code: PolarCode, tree: DecoderTree, cfg: ListConfig,
                  lutset: LutSet = None):
@@ -209,7 +259,13 @@ class ListEngine:
         self.code = code
         self.tree = tree
         self.cfg = cfg
-        self.ops = _FloatOps(cfg.metric_mode) if lutset is None else _LutOps(code, tree, lutset)
+        f = f_minsum if cfg.metric_mode == "approx" else f_exact
+        self.ops = _FloatOps(f) if lutset is None else _LutOps(code, tree, lutset)
+        self._frozen = partial(_decode_frozen, f=f, mode=cfg.metric_mode)
+        self._info_bit = partial(_decode_info_bit, mode=cfg.metric_mode)
+        steps = []
+        self._compile(tree.root, code.block_len, steps)
+        self.steps = tuple(steps)
 
     def decode(self, channel_msgs) -> DecodeResult:
         n_bits = self.code.block_len
@@ -220,7 +276,8 @@ class ListEngine:
         self.msgs = np.zeros((1, n_bits), dtype=self.ops.dtype)
         self.bits = np.zeros((1, 2 * n_bits), dtype=np.uint8)
         self.mu = np.zeros(1, dtype=np.float64)
-        self._walk(self.tree.root, n_bits)
+        for run, args in self.steps:
+            run(self, *args)
         order = np.argsort(self.mu, kind="stable")
         x_hats = self.bits[order, n_bits:]
         result = DecodeResult(u_hats=polar_transform(x_hats), x_hats=x_hats,
@@ -228,72 +285,54 @@ class ListEngine:
         self.ops.note_result(result)
         return result
 
+    def _compile(self, node, out, steps):
+        """Append the steps that decode the subtree at ``node`` into ``bits[:, out:out
+        + size]``, in activation order: (step function, its arguments)."""
+        cls, size = type(self), node.size
+        # messages into the node: the channel row at the root, else msgs[:, size:2 size]
+        src, lo = ("channel", 0) if size == self.code.block_len else ("msgs", size)
+        alpha, dest = _cols(lo, lo + size), _cols(out, out + size)
+        if node.is_leaf and size > 1:
+            steps.append((cls._leaf, (node, src, alpha, dest, _SPECIAL_DECODERS[node.kind])))
+        elif node.kind is NodeKind.R0 and (node.is_leaf or self.ops.levelwise_frozen):
+            steps.append((cls._leaf, (node, src, alpha, dest, self._frozen)))
+        elif node.is_leaf:
+            steps.append((cls._leaf, (node, src, alpha, dest, self._info_bit)))
+        else:
+            half = size // 2
+            halves, child_in = (_cols(lo, lo + half), _cols(lo + half, lo + size)), _cols(half, size)
+            left, right = _cols(size, size + half), _cols(size + half, 2 * size)
+            steps.append((cls._f, (node, src, *halves, child_in)))
+            self._compile(node.left, size, steps)
+            steps.append((cls._g, (node, src, *halves, left, child_in)))
+            self._compile(node.right, size + half, steps)
+            steps.append((cls._combine, (left, right, dest)))
+
+    # steps: each looks up the current path state, which forks replace
+
+    def _f(self, node, src, upper, lower, child_in):
+        alpha = getattr(self, src)
+        self.ops.f_update(node, alpha[upper], alpha[lower], self.msgs[child_in])
+
+    def _g(self, node, src, upper, lower, left, child_in):
+        alpha = getattr(self, src)
+        self.ops.g_update(node, alpha[upper], alpha[lower], self.bits[left], self.msgs[child_in])
+
+    def _combine(self, left, right, dest):
+        combine_bits(self.bits[left], self.bits[right], out=self.bits[dest])
+
+    def _leaf(self, node, src, alpha, dest, decoder):
+        """Decode a span into ``bits[dest]``, moving paths unless all stay in place."""
+        llrs = self.ops.leaf_llrs(node, getattr(self, src)[alpha])
+        paths = self.mu.size
+        parent, self.mu, beta = decoder(self.mu, llrs, self.cfg.list_size)
+        if parent is not None and not _in_place(parent, paths):
+            self._permute(parent)
+        self.bits[dest] = beta
+
     def _permute(self, parent_idx):
         self.msgs = self.msgs[parent_idx]
         self.bits = self.bits[parent_idx]
-
-    def _inputs(self, size):
-        """Messages into the current node of this size (the channel at the root)."""
-        return self.channel if size == self.code.block_len else self.msgs[:, size:2 * size]
-
-    def _walk(self, node, out):
-        """Decode the subtree at ``node`` into ``bits[:, out:out + node.size]``."""
-        size = node.size
-        if node.is_leaf:
-            llrs = self.ops.leaf_llrs(node, self._inputs(size))
-            if size == 1:
-                self._bit_leaf(node.span_start, out, llrs[:, 0])
-            else:
-                handler = _SPECIAL_DECODERS[node.kind]
-                parent, self.mu, beta = handler(self.mu, llrs, self.cfg.list_size)
-                if node.kind is not NodeKind.R0:  # rate-0 keeps every path in place
-                    self._permute(parent)
-                self.bits[:, out:out + size] = beta
-            return
-        if node.kind is NodeKind.R0 and self.ops.levelwise_frozen:
-            self._frozen_subtree(self._inputs(size), out, size)
-            return
-        half = size // 2
-        alpha = self._inputs(size)
-        self.ops.f_update(node, alpha[:, :half], alpha[:, half:], self.msgs[:, half:size])
-        self._walk(node.left, size)
-        alpha = self._inputs(size)
-        self.ops.g_update(node, alpha[:, :half], alpha[:, half:],
-                          self.bits[:, size:size + half], self.msgs[:, half:size])
-        self._walk(node.right, size + half)
-        combine_bits(self.bits[:, size:size + half], self.bits[:, size + half:2 * size],
-                     out=self.bits[:, out:out + size])
-
-    def _frozen_subtree(self, alpha, out, size):
-        """An all-frozen interior node on LLRs. No leaf LLR depends on a decision,
-        so each level takes one f call and one add (g with bit 0) for all of its
-        nodes; the bit-0 increments are then added in leaf order, as the
-        node-by-node walk adds them."""
-        paths = alpha.shape[0]
-        llrs = alpha[:, None, :]            # (paths, nodes of this level, node size)
-        while llrs.shape[2] > 1:
-            half = llrs.shape[2] // 2
-            a, b = llrs[:, :, :half], llrs[:, :, half:]
-            child = np.empty((paths, llrs.shape[1], 2, half))
-            self.ops.f(a, b, out=child[:, :, 0])
-            np.add(a, b, out=child[:, :, 1])
-            llrs = child.reshape(paths, -1, half)
-        terms = np.empty((size + 1, paths))
-        terms[0] = self.mu
-        terms[1:] = metric_increment(0, llrs[:, :, 0].T, self.cfg.metric_mode)
-        self.mu = np.add.accumulate(terms)[-1]
-        self.bits[:, out:out + size] = 0
-
-    def _bit_leaf(self, pos, out, llrs):
-        mode = self.cfg.metric_mode
-        if self.code.frozen_mask[pos]:
-            self.mu = self.mu + metric_increment(0, llrs, mode)
-            self.bits[:, out] = 0
-            return
-        keep, fork = self.mu + metric_increment(_BIT_PAIR, llrs, mode)
-        parent, fork, self.mu = _fork_prune(keep, fork, self.cfg.list_size)
-        self._permute(parent)
-        self.bits[:, out] = fork
 
 
 def decode(code: PolarCode, tree: DecoderTree, msgs, cfg: ListConfig,

@@ -11,6 +11,7 @@ The schedule is the tuple of leaf ``TreeNode``s in activation order.
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
 
 import numpy as np
 
@@ -30,23 +31,22 @@ ALL_NODE_KINDS = frozenset(SPECIAL_KINDS)
 
 
 def classify_span(frozen_span) -> NodeKind:
-    """Match a frozen pattern against the special node types.
-
-    Tie order R0, R1, Rep, SPC: single-bit spans come out as R0/R1, the
-    two-bit pattern (frozen, info) as Rep.
-    """
+    """Match a frozen pattern against the special node types (``_span_kind``)."""
     frozen_span = np.asarray(frozen_span, dtype=bool)
     if frozen_span.size < 1:
         raise ValueError("empty span")
-    if frozen_span.all():
-        return NodeKind.R0
-    if not frozen_span.any():
-        return NodeKind.R1
-    if frozen_span[:-1].all() and not frozen_span[-1]:
+    return _span_kind(frozen_span.size, int(frozen_span.sum()), frozen_span[0], frozen_span[-1])
+
+
+def _span_kind(size: int, n_frozen: int, first_frozen, last_frozen) -> NodeKind:
+    """The rule on a span's frozen count and end bits, tie order R0, R1, Rep
+    (all frozen but the last), SPC (only the first frozen): single-bit spans
+    come out as R0/R1, the two-bit pattern (frozen, info) as Rep."""
+    if n_frozen in (0, size):
+        return NodeKind.R0 if n_frozen else NodeKind.R1
+    if n_frozen == size - 1 and not last_frozen:
         return NodeKind.REP
-    if frozen_span[0] and not frozen_span[1:].any():
-        return NodeKind.SPC
-    return NodeKind.SC
+    return NodeKind.SPC if n_frozen == 1 and first_frozen else NodeKind.SC
 
 
 @dataclass
@@ -99,12 +99,14 @@ def build_tree(code: PolarCode, enabled_kinds=ALL_NODE_KINDS) -> DecoderTree:
     special pattern becomes a leaf, everything else recurses. Single-bit spans
     always terminate (as R0/R1). Edge and leaf ids follow activation order."""
     enabled = frozenset(NodeKind(k) for k in enabled_kinds)
-    frozen = code.frozen_mask
+    frozen = code.frozen_mask.tolist()
+    before = [0, *accumulate(frozen)]  # before[i]: frozen bits in positions 0..i-1
     schedule = []
     edge_kinds = []
 
     def rec(lo: int, size: int, depth: int) -> TreeNode:
-        kind = classify_span(frozen[lo:lo + size])
+        end = lo + size
+        kind = _span_kind(size, before[end] - before[lo], frozen[lo], frozen[end - 1])
         if size == 1 or (kind != NodeKind.SC and kind in enabled):
             schedule.append(TreeNode(depth, lo, size, kind, leaf_id=len(schedule)))
             return schedule[-1]

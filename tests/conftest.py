@@ -43,3 +43,21 @@ def noisy_frame(code, sigma, seed):
     x = fp.encode(code, fp.assemble_u(code, payload))
     y = (1.0 - 2.0 * x.astype(np.float64)) + sigma * rng.standard_normal(code.block_len)
     return payload, x, y
+
+
+def refuse_walk(monkeypatch):
+    """Give every ListEngine built from here on a first step that raises
+    AssertionError("the walk started"): a check that must come before the
+    walk then fails the test if any step runs."""
+    from fapolar.listdec import ListEngine
+
+    def started(engine):
+        raise AssertionError("the walk started")
+
+    build = ListEngine.__init__
+
+    def build_guarded(engine, *args, **kwargs):
+        build(engine, *args, **kwargs)
+        engine.steps = ((started, ()),) + engine.steps
+
+    monkeypatch.setattr(ListEngine, "__init__", build_guarded)

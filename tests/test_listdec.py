@@ -11,7 +11,7 @@ from fapolar.listdec import ListEngine, decode_rate0, decode_rate1, decode_rep, 
 from fapolar.lutdec import quantize_rx
 from fapolar.lutdesign import design_lutset
 
-from conftest import noisy_frame
+from conftest import noisy_frame, refuse_walk
 
 
 # ---------------------------------------------------------------------------
@@ -284,24 +284,22 @@ def test_fscl_r0_rep_frame_identical_to_scl():
 
 @pytest.mark.parametrize("kinds", ["sc", "r0,r1,rep,spc"])
 def test_nan_llrs_refused_before_walk(monkeypatch, kinds):
-    # a NaN LLR used to reach the metrics and could still pass the CRC;
-    # +-inf pass the check (f and the exact metric saturate at LLR_CLIP)
+    # a NaN LLR used to reach the metrics and could still pass the CRC; +-inf
+    # are refused too (opposite infinities met in g and gave NaN metrics)
     code = fp.construct(64, 28, 8)
     tree = fp.sc_tree(code) if kinds == "sc" else fp.build_tree(code)
+    refuse_walk(monkeypatch)
     engine = ListEngine(code, tree, fp.ListConfig(list_size=4))
-
-    def walk(*args):
-        raise AssertionError("the walk started")
-
-    monkeypatch.setattr(ListEngine, "_walk", walk)
     llr = np.ones(64)
+    with pytest.raises(AssertionError, match="the walk started"):
+        engine.decode(llr)  # the guard is in place: finite LLRs reach the first step
     llr[[5, 40]] = np.nan
     with pytest.raises(ValueError, match="NaN"):
         engine.decode(llr)
     with pytest.raises(ValueError, match="NaN"):
         fp.decode(code, tree, llr, fp.ListConfig(list_size=4))
     llr[[5, 40]] = np.inf, -np.inf
-    with pytest.raises(AssertionError, match="the walk started"):
+    with pytest.raises(ValueError, match="finite"):
         engine.decode(llr)
 
 

@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 import fapolar as fp
-from fapolar.listdec import ListEngine
 from fapolar.lutdec import LutMismatchError, _msib_f_rule, quantize_rx
 from fapolar.lutdesign import design_lutset, msib_f_index
 
-from conftest import noisy_frame
+from conftest import noisy_frame, refuse_walk
 
 W4 = 4
 
@@ -103,10 +102,7 @@ def test_uncovered_set_refused_before_walk(n64_setup, n64_ib, monkeypatch, case)
         lutset.translation_tables[fast.leaf_count] = lutset.translation_tables[0]
         name = f"leaf {fast.leaf_count}"
 
-    def walk(*args):
-        raise AssertionError("the walk started")
-
-    monkeypatch.setattr(ListEngine, "_walk", walk)
+    refuse_walk(monkeypatch)
     with pytest.raises(LutMismatchError, match=re.escape(name) + r"\b"):
         fp.decode(code, fast, np.zeros(64, dtype=np.int16), fp.ListConfig(list_size=2), lutset)
 

@@ -23,3 +23,43 @@ def test_every_perfbench_hook_target_resolves():
     assert leaf_spans <= tracer.installed
     hooked = {name for _, _, name, _ in tracing.DECODE_HOOKS + tracing.SETUP_HOOKS if name}
     assert hooked <= tracer.installed
+
+
+def test_decoders_feed_every_layer_span_they_use():
+    # decoders built under the hooks, as the benchmark builds them: a kernel
+    # bound when a decoder is built must still be the timed one, or its time
+    # would move into listdec.engine_self_ms unseen
+    import fapolar as fp
+    from fapolar import sim
+    from fapolar.lutdesign import design_lutset
+
+    tracing = load_tracing()
+    code = fp.construct(256, 128, 16)
+    fast = fp.build_tree(code)
+    lutset = design_lutset(code, fast, "msib", 2.0, 4)
+    specs = {
+        "sc-exact": (sim.DecoderSpec("llr", "sc", "exact", 8), None),
+        "fast-float": (sim.DecoderSpec("llr", "fast", "approx", 8), None),
+        "fast-msib": (sim.DecoderSpec("msib", "fast", "approx", 8, lut_path="(in-memory)"), lutset),
+    }
+    # the fast tree's leaves: constituent decoders, and single bits priced by metric_increment
+    leaves = {f"listdec.leaf.{leaf.kind.name.lower()}" if leaf.size > 1
+              else "arith.metric_increment" for leaf in fast.schedule}
+    walk = {"arith.combine_bits", "listdec.permute", "listdec.fork_prune"}
+    uses = {
+        "sc-exact": walk | {"arith.f_exact", "arith.g_func", "arith.metric_increment"},
+        "fast-float": walk | {"arith.f_minsum", "arith.g_func"} | leaves,
+        "fast-msib": walk | {"lutdec.quantize_rx", "lutdec.f_lookup", "lutdec.g_lookup",
+                             "lutdec.leaf_translate"} | leaves,
+    }
+    assert len(leaves) >= 4  # rate-0, repetition, rate-1 and SPC leaves at least
+    channel = sim.ChannelModel(1.5, code.rate)
+    for label, (spec, lut) in specs.items():
+        with tracing.Tracer() as tracer:
+            decoder = sim.FrameDecoder(code, spec, lutset=lut)
+            tracer.reset()
+            sim.run_frames(code, decoder, channel, 0, range(1))
+        calls = {name: tracer.stats.get(name, (0,))[0] for name in uses[label]}
+        assert all(calls.values()), f"{label}: spans with no calls: " \
+                                    f"{sorted(name for name, n in calls.items() if not n)}"
+        assert tracer.stats["listdec.engine"][0] == 1

@@ -1,8 +1,9 @@
 """Property tests (hypothesis): the list engine against a node-by-node
-reference walk, the rate-1/SPC constituent decoders against their
-split-by-split form, the arithmetic kernels' in-place forms against their
-allocating forms, and the blocked quantizer DP against the full-matrix DP.
-Examples are derandomized (see conftest)."""
+reference walk of the same tree, the rate-1/SPC constituent decoders against
+their split-by-split form, the arithmetic kernels' in-place forms against
+their allocating forms and against the formulas they replaced, and the
+blocked quantizer DP against the full-matrix DP. Examples are derandomized
+(see conftest)."""
 
 import dataclasses
 from unittest import mock
@@ -15,7 +16,8 @@ from hypothesis.extra import numpy as hnp
 import fapolar as fp
 from fapolar import lutdesign
 from fapolar.arith import LLR_CLIP, combine_bits, f_exact, f_minsum, g_func, metric_increment
-from fapolar.listdec import decode_rate1, decode_spc
+from fapolar.listdec import decode_rate0, decode_rate1, decode_rep, decode_spc
+from fapolar.tree import NodeKind
 
 LLRS = st.floats(-2 * LLR_CLIP, 2 * LLR_CLIP, allow_nan=False)  # past the clip, with +-0.0
 
@@ -28,28 +30,41 @@ def same_bits(x, y):
 # ---------------------------------------------------------------------------
 # engine vs reference walk
 
-def reference_scl(llr, frozen, list_size, mode):
-    """SCL node by node: recursive f/g over all paths, one metric increment per
-    leaf added in leaf order. Returns (x_hats, metrics), best metric first."""
+CONSTITUENT_DECODERS = {
+    NodeKind.R0: decode_rate0,
+    NodeKind.REP: decode_rep,
+    NodeKind.R1: decode_rate1,
+    NodeKind.SPC: decode_spc,
+}
+
+
+def reference_scl(llr, code, tree, list_size, mode):
+    """List decoding node by node on any decoder tree: recursive f/g over all
+    paths, one metric increment per single-bit leaf added in leaf order, the
+    constituent decoder at each special leaf. Returns (x_hats, metrics), best
+    metric first."""
     f = f_exact if mode == "exact" else f_minsum
 
-    def rec(alpha, frozen, mu):
+    def rec(alpha, node, mu):
         """(origin, beta, mu): survivor i descends from path origin[i] of alpha."""
-        if frozen.size == 1:
+        if node.size == 1:
             keep = mu + metric_increment(0, alpha[:, 0], mode)
-            if frozen[0]:
+            if code.frozen_mask[node.span_start]:
                 return np.arange(mu.size), np.zeros((mu.size, 1), np.uint8), keep
             fork = mu + metric_increment(1, alpha[:, 0], mode)
             cands = np.stack([keep, fork], axis=1).ravel()
             sel = np.argsort(cands, kind="stable")[:list_size]
             return sel // 2, (sel % 2).astype(np.uint8)[:, None], cands[sel]
-        half = frozen.size // 2
+        if node.is_leaf:
+            origin, mu, beta = CONSTITUENT_DECODERS[node.kind](mu, alpha, list_size)
+            return origin, beta, mu
+        half = node.size // 2
         a, b = alpha[:, :half], alpha[:, half:]
-        o1, left, mu = rec(f(a, b), frozen[:half], mu)
-        o2, right, mu = rec(g_func(a[o1], b[o1], left), frozen[half:], mu)
+        o1, left, mu = rec(f(a, b), node.left, mu)
+        o2, right, mu = rec(g_func(a[o1], b[o1], left), node.right, mu)
         return o1[o2], np.concatenate([left[o2] ^ right, right], axis=1), mu
 
-    _, x_hats, metrics = rec(np.asarray(llr)[None, :], frozen, np.zeros(1))
+    _, x_hats, metrics = rec(np.asarray(llr)[None, :], tree.root, np.zeros(1))
     order = np.argsort(metrics, kind="stable")
     return x_hats[order], metrics[order]
 
@@ -71,9 +86,22 @@ def frames(draw):
 @given(frames(), st.sampled_from([1, 2, 4, 8]), st.sampled_from(["approx", "exact"]))
 def test_engine_equals_reference_walk_bit_for_bit(frame, list_size, mode):
     code, llr = frame
-    res = fp.decode(code, fp.sc_tree(code), llr,
-                    fp.ListConfig(list_size=list_size, metric_mode=mode))
-    x_hats, metrics = reference_scl(llr, code.frozen_mask, list_size, mode)
+    tree = fp.sc_tree(code)
+    res = fp.decode(code, tree, llr, fp.ListConfig(list_size=list_size, metric_mode=mode))
+    x_hats, metrics = reference_scl(llr, code, tree, list_size, mode)
+    assert same_bits(res.x_hats, x_hats)
+    assert same_bits(res.metrics, metrics)
+
+
+@given(frames(), st.sets(st.sampled_from(["r0", "r1", "rep", "spc"]), min_size=1),
+       st.sampled_from([1, 2, 4, 8]), st.sampled_from(["approx", "exact"]))
+def test_engine_equals_reference_walk_on_pruned_trees(frame, kinds, list_size, mode):
+    # the compiled steps on random pruned trees: special leaves, and all-frozen
+    # interior nodes (level by level in the engine) when R0 is not pruned
+    code, llr = frame
+    tree = fp.build_tree(code, fp.parse_kinds(",".join(sorted(kinds))))
+    res = fp.decode(code, tree, llr, fp.ListConfig(list_size=list_size, metric_mode=mode))
+    x_hats, metrics = reference_scl(llr, code, tree, list_size, mode)
     assert same_bits(res.x_hats, x_hats)
     assert same_bits(res.metrics, metrics)
 
@@ -218,6 +246,90 @@ def f_exact_clip_form(a, b, clip=LLR_CLIP):
 @given(operand_pairs())
 def test_f_exact_keeps_clip_form_values(ab):
     assert same_bits(np.asarray(f_exact(*ab)), np.asarray(f_exact_clip_form(*ab)))
+
+
+# the kernels as they were before their bodies were cut to fewer numpy passes
+
+def f_exact_where_form(a, b, clip=LLR_CLIP):
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    sign = np.where((a < 0) != (b < 0), -1.0, 1.0)
+    mag_a = np.minimum(np.abs(a), clip)
+    mag_b = np.minimum(np.abs(b), clip)
+    far = np.log1p(np.exp(-(mag_a + mag_b)))
+    near = np.log1p(np.exp(-np.abs(mag_a - mag_b)))
+    return np.multiply(np.minimum(mag_a, mag_b) + far - near, sign)
+
+
+def f_minsum_where_form(a, b):
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    sign = np.where((a < 0) != (b < 0), -1.0, 1.0)
+    return np.multiply(np.minimum(np.abs(a), np.abs(b)), sign)
+
+
+def g_func_where_form(a, b, bit):
+    a = np.asarray(a, dtype=np.float64)
+    return np.add(np.where(np.asarray(bit) != 0, -a, a), b)
+
+
+def metric_increment_where_form(bit, llr, mode):
+    llr = np.asarray(llr, dtype=np.float64)
+    flip = np.asarray(bit) != 0
+    if mode == "approx":
+        return np.where(flip != (llr < 0), np.abs(llr), 0.0)
+    clipped = np.minimum(np.maximum(llr, -LLR_CLIP), LLR_CLIP)
+    return np.logaddexp(0.0, np.where(flip, clipped, -clipped))
+
+
+def equal_but_zero_signs(x, y):
+    """Equal values, and equal signs wherever they are not zero."""
+    x, y = np.asarray(x), np.asarray(y)
+    return (x.shape == y.shape and np.array_equal(x, y)
+            and np.array_equal(np.signbit(x[x != 0]), np.signbit(y[y != 0])))
+
+
+# +-0.0, beyond +-LLR_CLIP, 1e-300..1e-6 (where the box-plus cancels) and the
+# subnormal end, so that products of two operands underflow
+EDGE_LLRS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-160, -1e-160]),
+    st.floats(-4 * LLR_CLIP, 4 * LLR_CLIP, allow_nan=False),
+    st.builds(lambda mag, neg: -mag if neg else mag, st.floats(1e-300, 1e-6), st.booleans()),
+)
+
+
+@st.composite
+def edge_operands(draw):
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 8)))
+    return tuple(draw(hnp.arrays(np.float64, shape, elements=EDGE_LLRS)) for _ in range(2))
+
+
+@given(edge_operands(), st.sampled_from([LLR_CLIP, np.inf]))
+def test_f_exact_equals_where_form(ab, clip):
+    # bit for bit, zero signs included
+    assert same_bits(f_exact(*ab, clip=clip), f_exact_where_form(*ab, clip=clip))
+
+
+@given(edge_operands())
+def test_f_minsum_equals_where_form(ab):
+    # copysign takes a zero's sign from a*b: only the sign of zeros may differ
+    assert equal_but_zero_signs(f_minsum(*ab), f_minsum_where_form(*ab))
+
+
+@given(edge_operands(), st.data())
+def test_g_func_equals_where_form(ab, data):
+    bit = data.draw(hnp.arrays(np.uint8, ab[0].shape, elements=st.integers(0, 1)))
+    assert same_bits(g_func(*ab, bit), g_func_where_form(*ab, bit))
+
+
+@given(hnp.arrays(np.float64, st.integers(1, 8), elements=EDGE_LLRS),
+       st.sampled_from([0, 1, "pair", "array"]), st.sampled_from(["approx", "exact"]), st.data())
+def test_metric_increment_equals_where_form(llr, bit, mode, data):
+    if bit == "pair":
+        bit = np.array([[False], [True]])
+    elif bit == "array":
+        bit = data.draw(hnp.arrays(np.int64, llr.shape, elements=st.integers(0, 1)))
+    assert same_bits(metric_increment(bit, llr, mode), metric_increment_where_form(bit, llr, mode))
 
 
 @given(hnp.arrays(np.float64, st.integers(1, 8), elements=LLRS),

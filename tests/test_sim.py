@@ -47,15 +47,19 @@ def test_run_point_deep_waterfall_is_error_free():
 
 
 def test_run_point_reproducible_and_worker_independent():
-    code = fp.construct(32, 12, 4)
-    decoder = FrameDecoder(code, DecoderSpec(family="llr", list_size=2))
-    channel = ChannelModel(1.0, code.rate)
-    a = run_point(code, decoder, channel, seed=3, max_frames=512, min_errors=20)
-    b = run_point(code, decoder, channel, seed=3, max_frames=512, min_errors=20)
-    c = run_point(code, decoder, channel, seed=3, max_frames=512, min_errors=20,
-                  workers=2)
-    assert (a.frames, a.block_errors) == (b.frames, b.block_errors)
-    assert (a.frames, a.block_errors) == (c.frames, c.block_errors)
+    # workers get the decoder pickled, compiled steps included: the second code's
+    # fast tree has all four special leaf kinds, the SC tree bit leaves
+    for (n, k, crc), schedule in (((32, 12, 4), "fast"), ((64, 24, 8), "fast"),
+                                  ((64, 24, 8), "sc")):
+        code = fp.construct(n, k, crc)
+        decoder = FrameDecoder(code, DecoderSpec(family="llr", schedule=schedule, list_size=2))
+        channel = ChannelModel(1.0, code.rate)
+        a = run_point(code, decoder, channel, seed=3, max_frames=512, min_errors=20)
+        b = run_point(code, decoder, channel, seed=3, max_frames=512, min_errors=20)
+        c = run_point(code, decoder, channel, seed=3, max_frames=512, min_errors=20,
+                      workers=2)
+        assert (a.frames, a.block_errors) == (b.frames, b.block_errors)
+        assert (a.frames, a.block_errors) == (c.frames, c.block_errors)
 
 
 def test_run_point_workers_stop_submitting_at_stop_batch(monkeypatch):

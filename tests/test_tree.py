@@ -1,10 +1,11 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fapolar as fp
-from fapolar.tree import NodeKind
+from fapolar.tree import DecoderTree, NodeKind, TreeNode
 
 DATA = Path(__file__).parent / "data"
 
@@ -44,6 +45,62 @@ def test_classification_matches_definitions_on_random_spans():
         matching = [k for k in (NodeKind.R0, NodeKind.R1, NodeKind.REP, NodeKind.SPC)
                     if rules[k]]
         assert kind == (matching[0] if matching else NodeKind.SC)
+
+
+def array_rule_kind(span):
+    """The special-node rule on the span's own bits, as first written."""
+    if span.all():
+        return NodeKind.R0
+    if not span.any():
+        return NodeKind.R1
+    if span[:-1].all() and not span[-1]:
+        return NodeKind.REP
+    if span[0] and not span[1:].any():
+        return NodeKind.SPC
+    return NodeKind.SC
+
+
+def array_rule_tree(code, enabled):
+    """build_tree with every span classified from its slice of the frozen mask."""
+    schedule, edge_kinds = [], []
+
+    def rec(lo, size, depth):
+        kind = array_rule_kind(code.frozen_mask[lo:lo + size])
+        if size == 1 or (kind != NodeKind.SC and kind in enabled):
+            schedule.append(TreeNode(depth, lo, size, kind, leaf_id=len(schedule)))
+            return schedule[-1]
+        node = TreeNode(depth, lo, size, kind, f_edge_id=len(edge_kinds))
+        edge_kinds.append("f")
+        node.left = rec(lo, size // 2, depth + 1)
+        node.g_edge_id = len(edge_kinds)
+        edge_kinds.append("g")
+        node.right = rec(lo + size // 2, size // 2, depth + 1)
+        return node
+
+    root = rec(0, code.block_len, 0)
+    return DecoderTree(code.block_len, root, tuple(schedule), tuple(edge_kinds))
+
+
+@pytest.mark.parametrize("names", [(), ("R0",), ("R1",), ("R0", "R1"), ("Rep", "SPC"),
+                                   ("R1", "Rep", "SPC"), ("R0", "R1", "Rep", "SPC")])
+def test_build_tree_equals_array_rule_tree(names):
+    # build_tree classifies a span in O(1) from prefix counts of the frozen mask
+    enabled = kinds(*names)
+    rng = np.random.default_rng(12)
+    for block_len in (8, 16, 32, 64, 128, 256, 512, 1024):
+        for trial in range(4):
+            if trial % 2:  # NR construction: the patterns real codes have
+                code = fp.construct(block_len, int(rng.integers(1, block_len + 1)))
+            else:          # any mask with an information bit
+                frozen = rng.random(block_len) < rng.uniform(0.05, 0.95)
+                frozen[rng.integers(block_len)] = False
+                info = np.flatnonzero(~frozen)
+                code = dataclasses.replace(fp.construct(block_len, info.size), info_set=info,
+                                           frozen_mask=frozen)
+            got, want = fp.build_tree(code, enabled), array_rule_tree(code, enabled)
+            assert got.root == want.root
+            assert got.edge_kinds == want.edge_kinds
+            assert got.schedule_hash() == want.schedule_hash()
 
 
 def test_build_tree_textbook_fast(code8):
