@@ -9,11 +9,9 @@ import sys
 from functools import partial
 
 from .codes import CodeConstructionError
-from .listdec import ListConfig
 from .lutdesign import LutDesignError, design_lutset, load_lutset, save_lutset
-from .sim import (DecoderSpec, SimResult, code_from_options, schedule_tree, sweep, write_csv,
-                  write_json)
-from .tree import dump_schedule
+from .sim import DecoderSpec, code_from_options, sweep, write_csv, write_json
+from .tree import build_tree, dump_schedule, parse_kinds
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -30,10 +28,18 @@ def _add_code_options(parser):
                         help="CRC polynomial, e.g. 0x1021 (default: CCITT family)")
 
 
+def _schedule(args) -> str:
+    """The spec's schedule from --schedule and --nodes: "sc" ignores --nodes,
+    "fast" prunes the --nodes kinds (all four when --nodes is not given)."""
+    if args.schedule == "sc" or args.nodes is None:
+        return args.schedule
+    return args.nodes
+
+
 def _cmd_tree(args):
     code = code_from_options(args.n, args.k, args.crc, args.rate_profile,
                              args.crc_poly)
-    tree = schedule_tree(code, "fast", args.nodes)
+    tree = build_tree(code, parse_kinds(_schedule(args)))
     print("i_v\td\tkind\tN_v\tspan_start")
     for row in dump_schedule(tree):
         print("\t".join(str(v) for v in row))
@@ -52,7 +58,7 @@ def _cmd_tables(args):
 def _cmd_design(args):
     code = code_from_options(args.n, args.k, args.crc, args.rate_profile,
                              args.crc_poly)
-    tree = schedule_tree(code, args.schedule, args.nodes)
+    tree = build_tree(code, parse_kinds(_schedule(args)))
     lutset = design_lutset(code, tree, args.variant, args.ebn0, args.w)
     save_lutset(lutset, args.out)
     decoding, translation = lutset.table_counts()
@@ -84,7 +90,7 @@ def _cmd_simulate(args, parser):
                 raise ValueError(f"unknown config key {key!r}")
             setattr(args, action.dest, _config_value(action, key, value))
     # read once: it may give the code, and the decoder uses the same set
-    lutset = load_lutset(args.lut) if args.decoder != "llr" and args.lut else None
+    lutset = load_lutset(args.lut) if args.lut else None
     if args.n is None or args.k is None:
         if lutset is None:
             raise ValueError("--n and --k are required (or use --lut / --config)")
@@ -93,23 +99,11 @@ def _cmd_simulate(args, parser):
         args.crc = lutset.crc_len
     code = code_from_options(args.n, args.k, args.crc, args.rate_profile,
                              args.crc_poly)
-    ListConfig(list_size=args.list, metric_mode=args.metric)  # validate early
-    nodes = args.nodes if args.nodes is not None else "r0,r1,rep,spc"
-    spec = DecoderSpec(
-        family=args.decoder,
-        schedule=args.schedule,
-        metric_mode=args.metric,
-        list_size=args.list,
-        node_kinds=nodes,
-        lut_path=args.lut or "",
-    )
+    spec = DecoderSpec(args.decoder, _schedule(args), args.metric, args.list,
+                       lut_path=args.lut or "")
     points = [float(tok) for tok in str(args.ebn0_list).split(",") if tok != ""]
-    if not points:
-        result = SimResult(code.block_len, code.payload_len, code.crc_len, spec,
-                           args.seed, "empty")
-    else:
-        result = sweep(code, spec, points, seed=args.seed, max_frames=args.max_frames,
-                       min_errors=args.min_errors, workers=args.workers, lutset=lutset)
+    result = sweep(code, spec, points, seed=args.seed, max_frames=args.max_frames,
+                   min_errors=args.min_errors, workers=args.workers, lutset=lutset)
     if args.out:
         write_csv(result, args.out)
     if args.json_out:
@@ -128,7 +122,7 @@ def build_parser():
     _add_code_options(p_tree)
     p_tree.add_argument("--nodes", default=None,
                         help='enabled special nodes, e.g. "r0,rep" (default all)')
-    p_tree.set_defaults(func=_cmd_tree)
+    p_tree.set_defaults(func=_cmd_tree, schedule="fast")
 
     p_tables = sub.add_parser("tables", help="print table counts of a LUT file")
     p_tables.add_argument("--lut", required=True, metavar="FILE")

@@ -5,7 +5,7 @@ sequence for block lengths up to 1024 ships with the package). Encoding is
 the non-systematic butterfly transform; frozen bits are fixed to zero.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -100,29 +100,24 @@ def nr_sequence() -> ReliabilitySequence:
 
 @dataclass(frozen=True)
 class PolarCode:
-    """An (N, K) polar code with an optional CRC occupying the top of the info set."""
+    """An (N, K) polar code with an optional CRC occupying the top of the info set.
+    The frozen mask is the code: block length and info set are read from it."""
 
-    block_len: int
     payload_len: int
     crc: CrcConfig
-    info_set: np.ndarray
     frozen_mask: np.ndarray
+    block_len: int = field(init=False)
+    info_set: np.ndarray = field(init=False)  # the unfrozen positions, ascending
 
     def __post_init__(self):
-        object.__setattr__(self, "info_set", np.asarray(self.info_set, dtype=np.int64))
-        object.__setattr__(self, "frozen_mask", np.asarray(self.frozen_mask, dtype=bool))
+        frozen = np.asarray(self.frozen_mask, dtype=bool)
+        object.__setattr__(self, "frozen_mask", frozen)
+        object.__setattr__(self, "block_len", frozen.size)
+        object.__setattr__(self, "info_set", np.flatnonzero(~frozen))
         if self.block_len < 2 or self.block_len & (self.block_len - 1):
             raise CodeConstructionError("block length must be a power of two >= 2")
         if self.info_set.size != self.payload_len + self.crc.width:
             raise CodeConstructionError("info set size != payload + CRC bits")
-        if np.any(np.diff(self.info_set) <= 0):
-            raise CodeConstructionError("info set must be sorted and unique")
-        if self.frozen_mask.size != self.block_len:
-            raise CodeConstructionError("frozen mask length != block length")
-        if np.any(self.frozen_mask[self.info_set]) or (
-            np.count_nonzero(~self.frozen_mask) != self.info_set.size
-        ):
-            raise CodeConstructionError("info set and frozen mask must be complementary")
 
     @property
     def rate(self) -> float:
@@ -161,16 +156,9 @@ def construct(
     ranked = seq.for_length(block_len)
     if ranked.size != block_len:
         raise CodeConstructionError("sequence does not cover the block length")
-    info_set = np.sort(ranked[block_len - n_info:])
     frozen = np.ones(block_len, dtype=bool)
-    frozen[info_set] = False
-    return PolarCode(
-        block_len=block_len,
-        payload_len=payload_len,
-        crc=crc_cfg,
-        info_set=info_set,
-        frozen_mask=frozen,
-    )
+    frozen[ranked[block_len - n_info:]] = False
+    return PolarCode(payload_len, crc_cfg, frozen)
 
 
 def polar_transform(u) -> np.ndarray:

@@ -220,13 +220,17 @@ class _FloatOps:
     dtype = np.float64
     levelwise_frozen = True  # all-frozen interior nodes are one step, level by level
 
-    def __init__(self, f):
+    def __init__(self, f, block_len):
         self.f = f
+        # g sums stay within N * bound <= sqrt(float max): no f_minsum product
+        # or path metric overflows
+        self.llr_bound = np.sqrt(np.finfo(np.float64).max) / block_len
 
     def root_messages(self, y):
         llrs = np.asarray(y, dtype=np.float64)
-        if not np.isfinite(llrs).all():
-            raise ValueError("channel LLRs must be finite: NaN or +-inf found")
+        if not (np.abs(llrs) <= self.llr_bound).all():
+            raise ValueError(f"channel LLRs must be finite with |LLR| <= {self.llr_bound:.6g} "
+                             "(sqrt of the float64 maximum over N): NaN, +-inf or larger found")
         return llrs
 
     def f_update(self, node, a, b, out):
@@ -260,7 +264,7 @@ class ListEngine:
         self.tree = tree
         self.cfg = cfg
         f = f_minsum if cfg.metric_mode == "approx" else f_exact
-        self.ops = _FloatOps(f) if lutset is None else _LutOps(code, tree, lutset)
+        self.ops = _FloatOps(f, code.block_len) if lutset is None else _LutOps(code, tree, lutset)
         self._frozen = partial(_decode_frozen, f=f, mode=cfg.metric_mode)
         self._info_bit = partial(_decode_info_bit, mode=cfg.metric_mode)
         steps = []

@@ -20,8 +20,8 @@ import numpy as np
 from .codes import CrcConfig, PolarCode, assemble_u, construct, encode, load_sequence
 from .listdec import ListConfig, ListEngine, ca_select
 from .lutdec import quantize_rx
-from .lutdesign import LutSet, load_lutset
-from .tree import ALL_NODE_KINDS, DecoderTree, build_tree, parse_kinds
+from .lutdesign import LutSet
+from .tree import build_tree, parse_kinds
 
 BATCH_FRAMES = 256  # frames per worker job; run_point checks its stop rule between jobs
 
@@ -47,47 +47,31 @@ class DecoderSpec:
     """Identity of one decoder configuration for simulation and reporting."""
 
     family: str = "llr"            # llr | ib | msib
-    schedule: str = "fast"         # sc | fast
+    schedule: str = "fast"         # sc | fast | the pruned node kinds, e.g. "r0,rep"
     metric_mode: str = "approx"    # exact | approx
     list_size: int = 8
-    node_kinds: str = "r0,r1,rep,spc"
-    lut_path: str = ""
+    lut_path: str = ""             # where the caller's LUT set came from, for the record
 
     def __post_init__(self):
         if self.family not in ("llr", "ib", "msib"):
             raise ValueError(f"unknown decoder family {self.family!r}")
-        if self.schedule not in ("sc", "fast"):
-            raise ValueError(f"unknown schedule {self.schedule!r}")
-        if self.family != "llr" and not self.lut_path:
-            raise ValueError("quantized decoders need a LUT file")
-
-
-def schedule_tree(code: PolarCode, schedule: str, node_kinds: str = None) -> DecoderTree:
-    """The decode tree of a schedule: "sc" is the unpruned tree, "fast" prunes
-    the spans of ``node_kinds`` (all kinds when None; an empty list prunes none,
-    which is the unpruned tree again)."""
-    if schedule == "sc":
-        return build_tree(code, frozenset())
-    return build_tree(code, ALL_NODE_KINDS if node_kinds is None else parse_kinds(node_kinds))
+        parse_kinds(self.schedule)
 
 
 class FrameDecoder:
-    """Decode frames to payload guesses (CRC-aided pick) with one list engine."""
+    """Decode frames to payload guesses (CRC-aided pick) with one list engine.
+    Quantized families decode with the caller's LUT set, ``llr`` with none."""
 
     def __init__(self, code: PolarCode, spec: DecoderSpec, lutset: LutSet = None):
+        if (lutset.variant if lutset is not None else "llr") != spec.family:
+            given = "no LUT set" if lutset is None else f"a LUT set of variant {lutset.variant}"
+            raise ValueError(f"{spec.family} decoder given {given}")
         self.code = code
         self.spec = spec
         self.lutset = lutset
-        if spec.family != "llr":
-            if lutset is None:
-                self.lutset = load_lutset(spec.lut_path)
-            if self.lutset.variant != spec.family:
-                raise ValueError(
-                    f"LUT file holds a {self.lutset.variant} design, decoder is {spec.family}"
-                )
-        tree = schedule_tree(code, spec.schedule, spec.node_kinds)
+        tree = build_tree(code, parse_kinds(spec.schedule))
         cfg = ListConfig(list_size=spec.list_size, metric_mode=spec.metric_mode)
-        self.engine = ListEngine(code, tree, cfg, self.lutset)
+        self.engine = ListEngine(code, tree, cfg, lutset)
 
     def __call__(self, y_real: np.ndarray, sigma: float) -> np.ndarray:
         if self.lutset is not None:

@@ -155,14 +155,17 @@ def dump_schedule(tree: DecoderTree):
 
 
 def parse_kinds(text: str) -> frozenset:
-    """Parse a node-kind list like "r0,r1,rep,spc"; empty means none enabled."""
-    text = text.strip()
-    if not text:
+    """The special node kinds a schedule prunes: "fast" all four, "sc" (or an
+    empty list) none, else a node-kind list like "r0,rep"."""
+    text = text.strip().lower()
+    if text == "fast":
+        return ALL_NODE_KINDS
+    if text in ("", "sc"):
         return frozenset()
     alias = {"r0": NodeKind.R0, "r1": NodeKind.R1, "rep": NodeKind.REP, "spc": NodeKind.SPC}
     kinds = set()
     for tok in text.split(","):
-        tok = tok.strip().lower()
+        tok = tok.strip()
         if tok not in alias:
             raise ValueError(f"unknown node kind {tok!r}")
         kinds.add(alias[tok])

@@ -1,6 +1,6 @@
 import json
 
-from fapolar import cli, sim
+from fapolar import cli
 from fapolar.cli import main
 
 
@@ -84,14 +84,13 @@ def test_simulate_reads_lut_file_once(capsys, tmp_path, monkeypatch):
     lut_file = tmp_path / "lut.json"
     run_cli(capsys, "design", "--n", "32", "--k", "12", "--crc", "4",
             "--variant", "msib", "--ebn0", "1.0", "--w", "3", "--out", str(lut_file))
-    loads, real_load = [], sim.load_lutset
+    loads, real_load = [], cli.load_lutset
 
     def counting_load(path):
         loads.append(path)
         return real_load(path)
 
     monkeypatch.setattr(cli, "load_lutset", counting_load)
-    monkeypatch.setattr(sim, "load_lutset", counting_load)
     for code_options in ((), ("--n", "32", "--k", "12", "--crc", "4")):
         loads.clear()
         rc, out, _ = run_cli(capsys, "simulate", *code_options, "--decoder", "msib",
@@ -146,3 +145,23 @@ def test_schedule_mismatch_is_config_error(capsys, tmp_path):
                          "--ebn0-list", "8.0", "--max-frames", "64",
                          "--min-errors", "0")
     assert rc == 2
+
+
+def test_simulate_empty_point_list_builds_the_decoder(capsys, tmp_path):
+    # no points still builds the decoder: its set is checked, and the JSON
+    # carries the real config hash and width
+    lut_file, json_file = tmp_path / "lut.json", tmp_path / "out.json"
+    run_cli(capsys, "design", "--n", "32", "--k", "12", "--crc", "4",
+            "--variant", "msib", "--ebn0", "1.0", "--w", "3", "--out", str(lut_file))
+    for extra, message in ((("--decoder", "msib", "--schedule", "sc"), "different schedule"),
+                           (("--decoder", "llr"), "llr decoder given a LUT set")):
+        rc, _, err = run_cli(capsys, "simulate", "--lut", str(lut_file), *extra,
+                             "--ebn0-list", "")
+        assert rc == 2 and message in err, extra
+    rc, out, _ = run_cli(capsys, "simulate", "--lut", str(lut_file), "--decoder", "msib",
+                         "--ebn0-list", "", "--json-out", str(json_file))
+    assert rc == 0 and out.strip() == ""
+    doc = json.loads(json_file.read_text())
+    assert doc["lut_w"] == 3 and doc["points"] == []
+    assert len(doc["config_hash"]) == 16 and doc["config_hash"] != "empty"
+    assert doc["decoder"]["schedule"] == "fast" and "node_kinds" not in doc["decoder"]

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -301,6 +302,23 @@ def test_nan_llrs_refused_before_walk(monkeypatch, kinds):
     llr[[5, 40]] = np.inf, -np.inf
     with pytest.raises(ValueError, match="finite"):
         engine.decode(llr)
+
+
+@pytest.mark.parametrize("kinds", ["sc", "fast"])
+@pytest.mark.parametrize("mode", ["approx", "exact"])
+def test_huge_llrs_refused_above_overflow_bound(monkeypatch, kinds, mode):
+    # at |LLR| <= sqrt(float max) / N every g sum stays below sqrt(float max), so
+    # f_minsum's a*b and the path metrics stay finite (+-1e308 gave all-inf metrics)
+    code = fp.construct(64, 28, 8)
+    tree = fp.build_tree(code, fp.parse_kinds(kinds))
+    cfg = fp.ListConfig(list_size=4, metric_mode=mode)
+    bound = np.sqrt(np.finfo(np.float64).max) / code.block_len
+    llr = bound * np.random.default_rng(4).choice([-1.0, 1.0], code.block_len)
+    assert np.isfinite(fp.decode(code, tree, llr, cfg).metrics).all()
+    refuse_walk(monkeypatch)
+    llr[7] = np.nextafter(bound, np.inf)
+    with pytest.raises(ValueError, match=re.escape(f"{bound:.6g}")):
+        ListEngine(code, tree, cfg).decode(llr)
 
 
 def test_reused_engine_equals_fresh_decode_frame_by_frame():

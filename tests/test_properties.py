@@ -78,8 +78,7 @@ def frames(draw):
     frozen = uniform < frozen_frac
     frozen[-1] = False                              # at least one information bit
     info = np.flatnonzero(~frozen)
-    code = dataclasses.replace(fp.construct(block_len, info.size, 0),
-                               info_set=info, frozen_mask=frozen)
+    code = dataclasses.replace(fp.construct(block_len, info.size, 0), frozen_mask=frozen)
     return code, draw(hnp.arrays(np.float64, block_len, elements=LLRS))
 
 

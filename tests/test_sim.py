@@ -1,4 +1,6 @@
+import csv
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -32,9 +34,46 @@ def test_noise_variance_within_one_percent():
 def test_decoder_spec_validation():
     with pytest.raises(ValueError):
         DecoderSpec(family="nn")
-    with pytest.raises(ValueError):
-        DecoderSpec(family="ib")  # LUT decoders need a file
+    with pytest.raises(ValueError, match="no LUT set"):  # LUT decoders need a set
+        FrameDecoder(fp.construct(32, 12, 4), DecoderSpec(family="ib"))
     DecoderSpec(family="llr", schedule="sc")
+
+
+def test_decoder_spec_schedule_is_the_one_tree_field():
+    assert list(asdict(DecoderSpec())) == ["family", "schedule", "metric_mode", "list_size",
+                                           "lut_path"]
+    for schedule in ("ssc", "r0,r2"):
+        with pytest.raises(ValueError, match="unknown node kind"):
+            DecoderSpec(schedule=schedule)
+
+
+@pytest.mark.parametrize("schedule", ["sc", "", "fast", "r0,r1,rep,spc", "rep,r0"])
+def test_schedule_spellings_build_one_tree(tmp_path, schedule):
+    # "sc" and "" prune nothing, "fast" all four kinds; the CSV keeps the spec's text
+    code = fp.construct(64, 24, 8)
+    spec = DecoderSpec(family="llr", schedule=schedule, list_size=2)
+    tree = FrameDecoder(code, spec).engine.tree
+    assert tree.schedule_hash() == fp.build_tree(code, fp.parse_kinds(schedule)).schedule_hash()
+    if schedule in ("sc", ""):
+        assert tree.schedule_hash() == fp.sc_tree(code).schedule_hash()
+    if schedule in ("fast", "r0,r1,rep,spc"):
+        assert tree.schedule_hash() == fp.build_tree(code).schedule_hash()
+    write_csv(sweep(code, spec, [2.0], seed=1, max_frames=16, min_errors=0),
+              tmp_path / "out.csv")
+    with open(tmp_path / "out.csv", newline="") as fh:
+        assert [row["schedule"] for row in csv.DictReader(fh)] == [schedule]
+
+
+def test_frame_decoder_family_must_match_set():
+    from fapolar.lutdesign import design_lutset
+
+    code = fp.construct(32, 12, 4)
+    msib = design_lutset(code, fp.build_tree(code), "msib", 1.0, 4)
+    for spec, lutset, message in ((DecoderSpec("llr"), msib, "llr decoder given a LUT set"),
+                                  (DecoderSpec("msib"), None, "msib decoder given no LUT set"),
+                                  (DecoderSpec("ib"), msib, "ib decoder given .* msib")):
+        with pytest.raises(ValueError, match=message):
+            FrameDecoder(code, spec, lutset=lutset)
 
 
 def test_run_point_deep_waterfall_is_error_free():
@@ -157,8 +196,7 @@ def test_sweep_statistical_sanity_decreasing_bler():
 
 def test_empty_node_list_equals_sc_schedule():
     code = fp.construct(64, 24, 8)
-    fast_none = FrameDecoder(code, DecoderSpec(family="llr", schedule="fast",
-                                               list_size=4, node_kinds=""))
+    fast_none = FrameDecoder(code, DecoderSpec(family="llr", schedule="", list_size=4))
     plain_sc = FrameDecoder(code, DecoderSpec(family="llr", schedule="sc",
                                               list_size=4))
     assert fast_none.engine.tree.leaf_count == code.block_len
@@ -170,7 +208,7 @@ def test_empty_node_list_equals_sc_schedule():
 
 def test_frame_decoder_lut_roundtrip(tmp_path):
     from fapolar.lutdec import LutMismatchError
-    from fapolar.lutdesign import design_lutset, save_lutset
+    from fapolar.lutdesign import design_lutset, load_lutset, save_lutset
 
     code = fp.construct(32, 12, 4)
     tree = fp.build_tree(code)
@@ -179,39 +217,40 @@ def test_frame_decoder_lut_roundtrip(tmp_path):
     save_lutset(lutset, path)
     spec = DecoderSpec(family="msib", schedule="fast", list_size=4,
                        lut_path=str(path))
-    decoder = FrameDecoder(code, spec)
+    decoder = FrameDecoder(code, spec, lutset=load_lutset(path))
     point = run_point(code, decoder, ChannelModel(10.0, code.rate),
                       seed=0, max_frames=128, min_errors=0)
     assert point.block_errors == 0
     with pytest.raises(ValueError):
         FrameDecoder(code, DecoderSpec(family="ib", schedule="fast",
-                                       lut_path=str(path)))
+                                       lut_path=str(path)), lutset=load_lutset(path))
     # the set is checked against the schedule when the decoder is built
     with pytest.raises(LutMismatchError, match="different schedule"):
-        FrameDecoder(code, DecoderSpec(family="msib", schedule="sc", lut_path=str(path)))
+        FrameDecoder(code, DecoderSpec(family="msib", schedule="sc", lut_path=str(path)),
+                     lutset=load_lutset(path))
 
 
 def test_sweep_csv_bytes_pinned(tmp_path):
     # bytes recorded before the per-size path-state layout; a change in decoded
     # bits that moves an error count fails here, not only in the benchmark
-    from fapolar.lutdesign import design_lutset, save_lutset
+    from fapolar.lutdesign import design_lutset, load_lutset, save_lutset
 
     code = fp.construct(256, 128, 16)
     save_lutset(design_lutset(code, fp.build_tree(code), "msib", 2.0, 4),
                 tmp_path / "msib.json")
     runs = [
-        (DecoderSpec(family="llr", schedule="sc", metric_mode="exact", list_size=4),
+        (DecoderSpec(family="llr", schedule="sc", metric_mode="exact", list_size=4), None,
          b"1.0,64,36,0.5625,llr,sc,float,exact,0,4,5\r\n"
          b"2.0,64,8,0.125,llr,sc,float,exact,0,4,5\r\n"),
         (DecoderSpec(family="msib", schedule="fast", list_size=4,
-                     lut_path=str(tmp_path / "msib.json")),
+                     lut_path=str(tmp_path / "msib.json")), load_lutset(tmp_path / "msib.json"),
          b"1.0,64,39,0.609375,msib,fast,msib,approx,4,4,5\r\n"
          b"2.0,64,12,0.1875,msib,fast,msib,approx,4,4,5\r\n"),
     ]
     header = b"ebn0_db,frames,errors,bler,decoder,schedule,variant,metric,w,list,seed\r\n"
-    for spec, rows in runs:
-        write_csv(sweep(code, spec, [1.0, 2.0], seed=5, max_frames=64, min_errors=0),
-                  tmp_path / "out.csv")
+    for spec, lutset, rows in runs:
+        write_csv(sweep(code, spec, [1.0, 2.0], seed=5, max_frames=64, min_errors=0,
+                        lutset=lutset), tmp_path / "out.csv")
         assert (tmp_path / "out.csv").read_bytes() == header + rows
 
 

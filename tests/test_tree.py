@@ -95,7 +95,7 @@ def test_build_tree_equals_array_rule_tree(names):
                 frozen = rng.random(block_len) < rng.uniform(0.05, 0.95)
                 frozen[rng.integers(block_len)] = False
                 info = np.flatnonzero(~frozen)
-                code = dataclasses.replace(fp.construct(block_len, info.size), info_set=info,
+                code = dataclasses.replace(fp.construct(block_len, info.size),
                                            frozen_mask=frozen)
             got, want = fp.build_tree(code, enabled), array_rule_tree(code, enabled)
             assert got.root == want.root
