@@ -11,11 +11,12 @@ from functools import partial
 from .codes import CodeConstructionError
 from .lutdesign import LutDesignError, design_lutset, load_lutset, save_lutset
 from .sim import DecoderSpec, code_from_options, sweep, write_csv, write_json
-from .tree import build_tree, dump_schedule, parse_kinds
+from .tree import build_tree, dump_schedule, parse_kinds, schedule_text
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
+SCHEDULE_HELP = '"sc", "fast" (all special nodes, the default) or the nodes to prune, e.g. "r0,rep"'
 
 
 def _add_code_options(parser):
@@ -28,18 +29,10 @@ def _add_code_options(parser):
                         help="CRC polynomial, e.g. 0x1021 (default: CCITT family)")
 
 
-def _schedule(args) -> str:
-    """The spec's schedule from --schedule and --nodes: "sc" ignores --nodes,
-    "fast" prunes the --nodes kinds (all four when --nodes is not given)."""
-    if args.schedule == "sc" or args.nodes is None:
-        return args.schedule
-    return args.nodes
-
-
 def _cmd_tree(args):
     code = code_from_options(args.n, args.k, args.crc, args.rate_profile,
                              args.crc_poly)
-    tree = build_tree(code, parse_kinds(_schedule(args)))
+    tree = build_tree(code, args.schedule)
     print("i_v\td\tkind\tN_v\tspan_start")
     for row in dump_schedule(tree):
         print("\t".join(str(v) for v in row))
@@ -58,7 +51,7 @@ def _cmd_tables(args):
 def _cmd_design(args):
     code = code_from_options(args.n, args.k, args.crc, args.rate_profile,
                              args.crc_poly)
-    tree = build_tree(code, parse_kinds(_schedule(args)))
+    tree = build_tree(code, args.schedule)
     lutset = design_lutset(code, tree, args.variant, args.ebn0, args.w)
     save_lutset(lutset, args.out)
     decoding, translation = lutset.table_counts()
@@ -99,7 +92,7 @@ def _cmd_simulate(args, parser):
         args.crc = lutset.crc_len
     code = code_from_options(args.n, args.k, args.crc, args.rate_profile,
                              args.crc_poly)
-    spec = DecoderSpec(args.decoder, _schedule(args), args.metric, args.list,
+    spec = DecoderSpec(args.decoder, schedule_text(args.schedule), args.metric, args.list,
                        lut_path=args.lut or "")
     points = [float(tok) for tok in str(args.ebn0_list).split(",") if tok != ""]
     result = sweep(code, spec, points, seed=args.seed, max_frames=args.max_frames,
@@ -120,9 +113,8 @@ def build_parser():
 
     p_tree = sub.add_parser("tree", help="print the pruned decode schedule as TSV")
     _add_code_options(p_tree)
-    p_tree.add_argument("--nodes", default=None,
-                        help='enabled special nodes, e.g. "r0,rep" (default all)')
-    p_tree.set_defaults(func=_cmd_tree, schedule="fast")
+    p_tree.add_argument("--schedule", type=parse_kinds, default="fast", help=SCHEDULE_HELP)
+    p_tree.set_defaults(func=_cmd_tree)
 
     p_tables = sub.add_parser("tables", help="print table counts of a LUT file")
     p_tables.add_argument("--lut", required=True, metavar="FILE")
@@ -131,9 +123,7 @@ def build_parser():
     p_design = sub.add_parser("design", help="design a LUT set offline")
     _add_code_options(p_design)
     p_design.add_argument("--variant", choices=("ib", "msib"), required=True)
-    p_design.add_argument("--schedule", choices=("sc", "fast"), default="fast")
-    p_design.add_argument("--nodes", default=None,
-                          help="special nodes for the fast schedule (default all)")
+    p_design.add_argument("--schedule", type=parse_kinds, default="fast", help=SCHEDULE_HELP)
     p_design.add_argument("--ebn0", type=float, required=True,
                           help="design Eb/N0 in dB")
     p_design.add_argument("--w", type=int, default=4, help="message bit width")
@@ -150,10 +140,9 @@ def build_parser():
     p_sim.add_argument("--crc-poly", default=None, metavar="HEX")
     p_sim.add_argument("--decoder", choices=("llr", "ib", "msib"), default="llr")
     p_sim.add_argument("--lut", default=None, metavar="FILE")
-    p_sim.add_argument("--schedule", choices=("sc", "fast"), default="fast")
+    p_sim.add_argument("--schedule", type=parse_kinds, default="fast", help=SCHEDULE_HELP)
     p_sim.add_argument("--metric", choices=("exact", "approx"), default="approx")
     p_sim.add_argument("--list", type=int, default=8)
-    p_sim.add_argument("--nodes", default=None)
     p_sim.add_argument("--ebn0-list", default="", help="comma separated dB values")
     p_sim.add_argument("--max-frames", type=int, default=10000)
     p_sim.add_argument("--min-errors", type=int, default=100)

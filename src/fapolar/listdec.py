@@ -22,7 +22,7 @@ the codeword estimates finally in ``bits[:, N:2N]``. Steps hold column slices,
 never arrays, so no replaced path state outlives its step.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
@@ -48,13 +48,14 @@ class ListConfig:
 
 @dataclass
 class DecodeResult:
-    """Final list, best metric first. Rows of u_hats/x_hats are one candidate."""
+    """Final list, best metric first. Rows of u_hats/x_hats are one candidate;
+    ``touched_*`` are the decoder's table ids, as a LUT walk reads all of them."""
 
     u_hats: np.ndarray
     x_hats: np.ndarray
     metrics: np.ndarray
-    touched_decoding: set = field(default_factory=set)
-    touched_translation: set = field(default_factory=set)
+    touched_decoding: frozenset = frozenset()
+    touched_translation: frozenset = frozenset()
 
     def __len__(self):
         return self.metrics.size
@@ -219,6 +220,7 @@ class _FloatOps:
 
     dtype = np.float64
     levelwise_frozen = True  # all-frozen interior nodes are one step, level by level
+    tables = frozenset(), frozenset()  # no lookup tables
 
     def __init__(self, f, block_len):
         self.f = f
@@ -241,9 +243,6 @@ class _FloatOps:
 
     def leaf_llrs(self, node, msgs):
         return msgs
-
-    def note_result(self, result):
-        pass
 
 
 @lru_cache(maxsize=None)
@@ -284,10 +283,7 @@ class ListEngine:
             run(self, *args)
         order = np.argsort(self.mu, kind="stable")
         x_hats = self.bits[order, n_bits:]
-        result = DecodeResult(u_hats=polar_transform(x_hats), x_hats=x_hats,
-                              metrics=self.mu[order])
-        self.ops.note_result(result)
-        return result
+        return DecodeResult(polar_transform(x_hats), x_hats, self.mu[order], *self.ops.tables)
 
     def _compile(self, node, out, steps):
         """Append the steps that decode the subtree at ``node`` into ``bits[:, out:out

@@ -9,7 +9,7 @@ missing, mis-shaped or stray table is a ``LutMismatchError`` naming its edge or 
 
 The MSIB f update is the index rule ``msib_f_index`` on every edge, at design
 time and here, where it is tabulated once per alphabet size: not a stored
-table (``tree.stored_tables``), so not recorded in ``touched_decoding``.
+table (``tree.stored_tables``), so not among the tables a frame reads.
 """
 
 from functools import lru_cache
@@ -46,8 +46,7 @@ def _msib_f_rule(alphabet_size: int) -> np.ndarray:
 
 
 class _LutOps:
-    """Message arithmetic backed by a LutSet, checked once when built; records
-    the table ids each frame uses."""
+    """Message arithmetic backed by a LutSet, checked once when built."""
 
     dtype = np.int16
     levelwise_frozen = False  # tables are per edge, so frozen nodes walk node by node
@@ -57,8 +56,8 @@ class _LutOps:
         self.lutset = lutset
         self.msib = lutset.variant == "msib"
         self.size = lutset.alphabet_size
-        self.touched_decoding = set()
-        self.touched_translation = set()
+        # (decoding, translation) table ids: the walk reads each of them on every frame
+        self.tables = frozenset(stored_tables(tree, lutset.variant)), frozenset(range(tree.leaf_count))
 
     def root_messages(self, y):
         msgs = np.asarray(y)
@@ -72,20 +71,13 @@ class _LutOps:
         if self.msib:
             out[...] = _msib_f_rule(self.size)[a, b]
         else:
-            self.touched_decoding.add(node.f_edge_id)
             out[...] = self.lutset.decoding_tables[node.f_edge_id][a, b]
 
     def g_update(self, node, a, b, bit, out):
-        self.touched_decoding.add(node.g_edge_id)
         out[...] = self.lutset.decoding_tables[node.g_edge_id][a, b, bit]
 
     def leaf_llrs(self, node, msgs):
-        self.touched_translation.add(node.leaf_id)
         return self.lutset.translation_tables[node.leaf_id][msgs]
-
-    def note_result(self, result):
-        result.touched_decoding, self.touched_decoding = self.touched_decoding, set()
-        result.touched_translation, self.touched_translation = self.touched_translation, set()
 
 
 def _check_match(code: PolarCode, tree: DecoderTree, lutset: LutSet):

@@ -162,7 +162,7 @@ def parse_kinds(text: str) -> frozenset:
         return ALL_NODE_KINDS
     if text in ("", "sc"):
         return frozenset()
-    alias = {"r0": NodeKind.R0, "r1": NodeKind.R1, "rep": NodeKind.REP, "spc": NodeKind.SPC}
+    alias = {kind.value.lower(): kind for kind in SPECIAL_KINDS}
     kinds = set()
     for tok in text.split(","):
         tok = tok.strip()
@@ -170,3 +170,13 @@ def parse_kinds(text: str) -> frozenset:
             raise ValueError(f"unknown node kind {tok!r}")
         kinds.add(alias[tok])
     return frozenset(kinds)
+
+
+def schedule_text(kinds) -> str:
+    """The one spelling of a schedule, the inverse of ``parse_kinds``: "sc",
+    "fast", or the pruned kinds in R0, R1, Rep, SPC order, like "r0,rep"."""
+    if not kinds:
+        return "sc"
+    if kinds == ALL_NODE_KINDS:
+        return "fast"
+    return ",".join(kind.value.lower() for kind in SPECIAL_KINDS if kind in kinds)

@@ -22,7 +22,7 @@ def test_tree_command_paper_schedule(capsys):
 
 def test_tree_command_nodes_filter(capsys):
     rc, out, _ = run_cli(capsys, "tree", "--n", "8", "--k", "3", "--crc", "1",
-                         "--nodes", "")
+                         "--schedule", "sc")
     assert rc == 0
     assert len(out.strip().splitlines()) == 1 + 8
 
@@ -111,7 +111,8 @@ def test_config_errors_exit_2(capsys, tmp_path):
     # --config values are converted like their command-line text
     cfg_file = tmp_path / "cfg.json"
     for cfg, want_rc in (({"list": "8"}, 0), ({"list": "eight"}, 2), ({"list": 8.5}, 2),
-                         ({"list": None}, 2), ({"schedule": "ssc"}, 2), ({"func": 1}, 2)):
+                         ({"list": None}, 2), ({"schedule": "ssc"}, 2), ({"func": 1}, 2),
+                         ({"nodes": "r0"}, 2)):
         key = next(iter(cfg))
         cfg_file.write_text(json.dumps({"n": 32, "k": 12, **cfg}))
         rc, _, err = run_cli(capsys, "simulate", "--config", str(cfg_file))

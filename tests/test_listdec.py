@@ -324,7 +324,7 @@ def test_huge_llrs_refused_above_overflow_bound(monkeypatch, kinds, mode):
 def test_reused_engine_equals_fresh_decode_frame_by_frame():
     # one engine per decoder, frames interleaved across decoders and sizes:
     # every result equals a decode on a freshly built engine, bit for bit,
-    # and carries only its own frame's touched tables
+    # touched tables included
     decoders = []
     for n, k in ((64, 28), (256, 128)):
         code = fp.construct(n, k, 8)
@@ -334,7 +334,7 @@ def test_reused_engine_equals_fresh_decode_frame_by_frame():
             lutset = design_lutset(code, fast, variant, 2.0, 4) if variant else None
             cfg = fp.ListConfig(list_size=4, metric_mode=mode)
             decoders.append((code, tree, cfg, lutset, ListEngine(code, tree, cfg, lutset)))
-    touched_counts, last = set(), {}
+    touched_counts = set()
     for frame in range(50):
         sigma = (0.7, 0.85, 1.0)[frame % 3]
         turn = frame % len(decoders)
@@ -349,10 +349,9 @@ def test_reused_engine_equals_fresh_decode_frame_by_frame():
             assert got.touched_decoding == want.touched_decoding
             assert got.touched_translation == want.touched_translation
             touched_counts.add(len(got.touched_decoding) + len(got.touched_translation))
-            if lutset and engine in last:  # a walk touches every table, so check sharing
-                assert got.touched_decoding is not last[engine].touched_decoding
-                assert got.touched_translation is not last[engine].touched_translation
-            last[engine] = got
+            # one immutable record per decoder, safely shared by all its results
+            assert isinstance(got.touched_decoding, frozenset)
+            assert isinstance(got.touched_translation, frozenset)
     assert len(touched_counts) > 1  # LUT frames touched tables, float frames none
 
 

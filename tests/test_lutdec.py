@@ -2,13 +2,16 @@
 
 import dataclasses
 import re
+from itertools import product
 
 import numpy as np
 import pytest
 
 import fapolar as fp
+from fapolar.listdec import ListEngine
 from fapolar.lutdec import LutMismatchError, _msib_f_rule, quantize_rx
 from fapolar.lutdesign import design_lutset, msib_f_index
+from fapolar.tree import stored_tables
 
 from conftest import noisy_frame, refuse_walk
 
@@ -124,27 +127,44 @@ def test_lut_decode_strong_channel_error_free(n64_setup, n64_ib):
     assert errors == 0
 
 
-def test_touched_tables_audit(n64_setup):
-    code, sc, fast = n64_setup
-    msib_fast = design_lutset(code, fast, "msib", 2.0, W4)
-    msib_sc = design_lutset(code, sc, "msib", 2.0, W4)
-    cfg = fp.ListConfig(list_size=4)
-    _, _, y = noisy_frame(code, sigma=0.8, seed=42)
+class ReadLog(dict):
+    """A table dict that records the ids read by subscript, as a decode walk reads them."""
 
-    res = fp.decode(code, fast, quantize_rx(msib_fast.channel_thresholds, y), cfg, msib_fast)
-    assert res.touched_decoding == set(msib_fast.decoding_tables.keys())
-    assert len(res.touched_decoding) == fast.edge_kinds.count("g")
-    # the tabulated f rule is no designed table: only g edges are touched, and
-    # with the channel quantizer they make the advertised msib count
-    assert res.touched_decoding == {e for e, kind in enumerate(fast.edge_kinds) if kind == "g"}
-    assert fp.table_counts(fast, "msib")[0] == len(res.touched_decoding) + 1
-    assert res.touched_translation == set(range(fast.leaf_count))
+    def __init__(self, tables):
+        super().__init__(tables)
+        self.read = set()
 
-    res = fp.decode(code, sc, quantize_rx(msib_sc.channel_thresholds, y), cfg, msib_sc)
-    # every stored table is a g table and all of them are used: with the
-    # channel quantizer that is exactly the advertised msib decoding count
-    assert len(res.touched_decoding) == sc.edge_kinds.count("g") == 63
-    assert len(res.touched_translation) == 64
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def test_touched_tables_audit():
+    # the walk reads every stored table and every leaf's translation on each
+    # frame, so the decoder's table record is fixed when it is built
+    for (n, k, kinds), variant in product([(64, 28, "sc"), (64, 28, "fast"), (256, 128, "fast")],
+                                          ["msib", "ib"]):
+        code = fp.construct(n, k, 8)
+        tree = fp.build_tree(code, fp.parse_kinds(kinds))
+        lutset = design_lutset(code, tree, variant, 2.0, W4)
+        lutset.decoding_tables = ReadLog(lutset.decoding_tables)
+        lutset.translation_tables = ReadLog(lutset.translation_tables)
+        engine = ListEngine(code, tree, fp.ListConfig(list_size=4), lutset)
+        stored, leaves = set(stored_tables(tree, variant)), set(range(tree.leaf_count))
+        # the set check at build reads through .get and iteration: no subscript
+        assert not lutset.decoding_tables.read and not lutset.translation_tables.read
+        for frame in range(3):
+            lutset.decoding_tables.read.clear()
+            lutset.translation_tables.read.clear()
+            _, _, y = noisy_frame(code, sigma=0.8, seed=(42, frame))
+            res = engine.decode(quantize_rx(lutset.channel_thresholds, y))
+            assert lutset.decoding_tables.read == stored == res.touched_decoding, (n, kinds, variant)
+            assert lutset.translation_tables.read == leaves == res.touched_translation
+        # MSIB reads only g tables: with the channel quantizer in place of the
+        # f rule they make the advertised count
+        assert fp.table_counts(tree, variant)[0] == len(stored) + (variant == "msib")
+        if variant == "msib":
+            assert stored == {e for e, kind in enumerate(tree.edge_kinds) if kind == "g"}
 
 
 @pytest.mark.parametrize("w", range(1, 7))

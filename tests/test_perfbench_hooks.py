@@ -63,3 +63,27 @@ def test_decoders_feed_every_layer_span_they_use():
         assert all(calls.values()), f"{label}: spans with no calls: " \
                                     f"{sorted(name for name, n in calls.items() if not n)}"
         assert tracer.stats["listdec.engine"][0] == 1
+
+
+def test_tables_touched_counter_reads_the_decoders_table_record():
+    # perfbench's lutdec.tables_touched sums DecodeResult.touched_* per frame:
+    # every stored table and leaf translation for LUT decoders, none for float
+    import fapolar as fp
+    from fapolar import sim
+    from fapolar.lutdesign import design_lutset
+    from fapolar.tree import stored_tables
+
+    tracing = load_tracing()
+    code = fp.construct(256, 128, 16)
+    fast, frames = fp.build_tree(code), 3
+    channel = sim.ChannelModel(1.5, code.rate)
+    for family, schedule, mode in (("llr", "sc", "exact"), ("msib", "fast", "approx"),
+                                   ("ib", "fast", "approx")):
+        lutset = design_lutset(code, fast, family, 2.0, 4) if family != "llr" else None
+        with tracing.Tracer() as tracer:
+            decoder = sim.FrameDecoder(code, sim.DecoderSpec(family, schedule, mode, 8), lutset)
+            tracer.reset()
+            sim.run_frames(code, decoder, channel, 0, range(frames))
+        assert "tables_touched" not in tracer.broken
+        per_frame = len(stored_tables(fast, family)) + fast.leaf_count if lutset else 0
+        assert tracer.counts["tables_touched"] == frames * per_frame, family

@@ -10,6 +10,7 @@ from fapolar.sim import (
     ChannelModel,
     DecoderSpec,
     FrameDecoder,
+    config_hash,
     run_point,
     sweep,
     write_csv,
@@ -37,6 +38,8 @@ def test_decoder_spec_validation():
     with pytest.raises(ValueError, match="no LUT set"):  # LUT decoders need a set
         FrameDecoder(fp.construct(32, 12, 4), DecoderSpec(family="ib"))
     DecoderSpec(family="llr", schedule="sc")
+    with pytest.raises(ValueError, match="llr decoder given a LUT set"):  # nor float ones a set
+        DecoderSpec(family="llr", lut_path="msib.json")
 
 
 def test_decoder_spec_schedule_is_the_one_tree_field():
@@ -47,9 +50,14 @@ def test_decoder_spec_schedule_is_the_one_tree_field():
             DecoderSpec(schedule=schedule)
 
 
-@pytest.mark.parametrize("schedule", ["sc", "", "fast", "r0,r1,rep,spc", "rep,r0"])
+SPELLINGS = {"sc": "sc", "": "sc", "fast": "fast", "r0,r1,rep,spc": "fast", "rep,r0": "r0,rep"}
+
+
+@pytest.mark.parametrize("schedule", SPELLINGS)
 def test_schedule_spellings_build_one_tree(tmp_path, schedule):
-    # "sc" and "" prune nothing, "fast" all four kinds; the CSV keeps the spec's text
+    # "sc" and "" prune nothing, "fast" all four kinds; the spec, and so the CSV
+    # cell and the config hash, hold one spelling per tree
+    text = SPELLINGS[schedule]
     code = fp.construct(64, 24, 8)
     spec = DecoderSpec(family="llr", schedule=schedule, list_size=2)
     tree = FrameDecoder(code, spec).engine.tree
@@ -58,10 +66,13 @@ def test_schedule_spellings_build_one_tree(tmp_path, schedule):
         assert tree.schedule_hash() == fp.sc_tree(code).schedule_hash()
     if schedule in ("fast", "r0,r1,rep,spc"):
         assert tree.schedule_hash() == fp.build_tree(code).schedule_hash()
-    write_csv(sweep(code, spec, [2.0], seed=1, max_frames=16, min_errors=0),
-              tmp_path / "out.csv")
+    result = sweep(code, spec, [2.0], seed=1, max_frames=16, min_errors=0)
+    canonical = DecoderSpec(family="llr", schedule=text, list_size=2)
+    assert spec == canonical
+    assert result.config_hash == config_hash(code, canonical, [2.0], 1, 16, 0)
+    write_csv(result, tmp_path / "out.csv")
     with open(tmp_path / "out.csv", newline="") as fh:
-        assert [row["schedule"] for row in csv.DictReader(fh)] == [schedule]
+        assert [row["schedule"] for row in csv.DictReader(fh)] == [text]
 
 
 def test_frame_decoder_family_must_match_set():

@@ -1,11 +1,12 @@
 import dataclasses
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fapolar as fp
-from fapolar.tree import DecoderTree, NodeKind, TreeNode
+from fapolar.tree import SPECIAL_KINDS, DecoderTree, NodeKind, TreeNode, schedule_text
 
 DATA = Path(__file__).parent / "data"
 
@@ -205,6 +206,16 @@ def test_parse_kinds():
     assert fp.parse_kinds("r0, SPC") == kinds("R0", "SPC")
     with pytest.raises(ValueError):
         fp.parse_kinds("r2")
+
+
+def test_schedule_text_is_the_inverse_of_parse_kinds():
+    subsets = [frozenset(c) for r in range(5) for c in combinations(SPECIAL_KINDS, r)]
+    assert len(subsets) == 16
+    for subset in subsets:
+        assert fp.parse_kinds(schedule_text(subset)) == subset
+    assert schedule_text(frozenset()) == "sc"
+    assert schedule_text(fp.ALL_NODE_KINDS) == "fast"
+    assert schedule_text(kinds("SPC", "R0")) == "r0,spc"
 
 
 def test_schedule_hash_distinguishes_trees(code8):
