@@ -46,17 +46,18 @@ def g_func(a, b, bit, out=None):
     return np.add(np.multiply(a, _BIT_SIGN.take(bit, mode="clip")), b, out=out)
 
 
-def combine_bits(beta_left, beta_right, out=None):
-    """Parent output: first half is the XOR, second half the right child."""
-    beta_left = np.asarray(beta_left, dtype=np.uint8)
-    beta_right = np.asarray(beta_right, dtype=np.uint8)
-    if beta_left.shape != beta_right.shape:
-        raise ValueError("child outputs must have equal shape")
-    half = beta_right.shape[-1]
+def combine_bits(beta, out=None):
+    """Parent output ``[left XOR right | right]`` of the child outputs side by side,
+    ``beta = [left | right]``; ``out=beta`` combines in place, writing the first half only."""
+    beta = np.asarray(beta, dtype=np.uint8)
+    half, odd = divmod(beta.shape[-1], 2)
+    if odd:
+        raise ValueError("child outputs must have equal length")
     if out is None:
-        out = np.empty(beta_right.shape[:-1] + (2 * half,), dtype=np.uint8)
-    np.bitwise_xor(beta_left, beta_right, out=out[..., :half])
-    out[..., half:] = beta_right
+        out = beta.copy()
+    elif out is not beta:
+        out[..., half:] = beta[..., half:]
+    np.bitwise_xor(beta[..., :half], beta[..., half:], out=out[..., :half])
     return out
 
 

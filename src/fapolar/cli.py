@@ -19,6 +19,14 @@ EXIT_IO = 3
 SCHEDULE_HELP = '"sc", "fast" (all special nodes, the default) or the nodes to prune, e.g. "r0,rep"'
 
 
+def _schedule(text):
+    """--schedule's type: argparse then prints ``parse_kinds``' own reason."""
+    try:
+        return parse_kinds(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_code_options(parser):
     parser.add_argument("--n", type=int, required=True, help="block length (power of two)")
     parser.add_argument("--k", type=int, required=True, help="payload bits")
@@ -65,7 +73,7 @@ def _config_value(action, key, value):
         return None
     try:
         value = (action.type or str)(str(value))
-    except ValueError:
+    except (ValueError, argparse.ArgumentTypeError):
         raise ValueError(f"config key {key!r}: invalid value {value!r}") from None
     if action.choices is not None and value not in action.choices:
         raise ValueError(f"config key {key!r}: {value!r} is not one of {action.choices}")
@@ -113,7 +121,7 @@ def build_parser():
 
     p_tree = sub.add_parser("tree", help="print the pruned decode schedule as TSV")
     _add_code_options(p_tree)
-    p_tree.add_argument("--schedule", type=parse_kinds, default="fast", help=SCHEDULE_HELP)
+    p_tree.add_argument("--schedule", type=_schedule, default="fast", help=SCHEDULE_HELP)
     p_tree.set_defaults(func=_cmd_tree)
 
     p_tables = sub.add_parser("tables", help="print table counts of a LUT file")
@@ -123,7 +131,7 @@ def build_parser():
     p_design = sub.add_parser("design", help="design a LUT set offline")
     _add_code_options(p_design)
     p_design.add_argument("--variant", choices=("ib", "msib"), required=True)
-    p_design.add_argument("--schedule", type=parse_kinds, default="fast", help=SCHEDULE_HELP)
+    p_design.add_argument("--schedule", type=_schedule, default="fast", help=SCHEDULE_HELP)
     p_design.add_argument("--ebn0", type=float, required=True,
                           help="design Eb/N0 in dB")
     p_design.add_argument("--w", type=int, default=4, help="message bit width")
@@ -140,7 +148,7 @@ def build_parser():
     p_sim.add_argument("--crc-poly", default=None, metavar="HEX")
     p_sim.add_argument("--decoder", choices=("llr", "ib", "msib"), default="llr")
     p_sim.add_argument("--lut", default=None, metavar="FILE")
-    p_sim.add_argument("--schedule", type=parse_kinds, default="fast", help=SCHEDULE_HELP)
+    p_sim.add_argument("--schedule", type=_schedule, default="fast", help=SCHEDULE_HELP)
     p_sim.add_argument("--metric", choices=("exact", "approx"), default="approx")
     p_sim.add_argument("--list", type=int, default=8)
     p_sim.add_argument("--ebn0-list", default="", help="comma separated dB values")

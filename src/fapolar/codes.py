@@ -6,6 +6,7 @@ the non-systematic butterfly transform; frozen bits are fixed to zero.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from importlib import resources
 
 import numpy as np
@@ -42,21 +43,27 @@ def default_crc_config(width: int) -> CrcConfig:
     return CrcConfig(width=width, polynomial=(0x1021 % (1 << width)) | 1)
 
 
+@lru_cache(maxsize=None)
+def _crc_generator(cfg: CrcConfig, length: int) -> np.ndarray:
+    """(length, width) GF(2) matrix whose row i is the CRC of unit vector e_i,
+    MSB-first: with zero init and no output XOR the CRC is linear. Built back
+    to front in ``length`` register shifts, as e_(i-1) is e_i shifted once more."""
+    top, mask = (1 << cfg.width) >> 1, (1 << cfg.width) - 1  # width 0: no register, no columns
+    regs, reg = np.empty(length, dtype=np.int64), top
+    for i in range(length - 1, -1, -1):
+        reg = ((reg << 1) ^ cfg.polynomial) & mask if reg & top else (reg << 1) & mask
+        regs[i] = reg
+    gen = (regs[:, None] >> np.arange(cfg.width - 1, -1, -1) & 1).astype(np.uint8)
+    gen.flags.writeable = False  # shared by every caller
+    return gen
+
+
 def crc_bits(payload, cfg: CrcConfig) -> np.ndarray:
-    """Compute the CRC of a bit vector, returned MSB-first as 0./1. ints."""
-    if cfg.width == 0:
-        return np.zeros(0, dtype=np.uint8)
-    reg = 0
-    top = 1 << (cfg.width - 1)
-    mask = (1 << cfg.width) - 1
-    for b in np.asarray(payload, dtype=np.uint8):
-        reg ^= int(b) << (cfg.width - 1)
-        if reg & top:
-            reg = ((reg << 1) ^ cfg.polynomial) & mask
-        else:
-            reg = (reg << 1) & mask
-    out = [(reg >> (cfg.width - 1 - i)) & 1 for i in range(cfg.width)]
-    return np.array(out, dtype=np.uint8)
+    """CRC of a bit vector (or of each along the last axis), MSB-first as 0/1
+    uint8s: one product with the cached generator of (cfg, payload length)."""
+    payload = np.asarray(payload, dtype=np.uint8)
+    # uint8 sums wrap mod 256, which keeps their parity
+    return payload @ _crc_generator(cfg, payload.shape[-1]) & 1
 
 
 @dataclass(frozen=True)
@@ -68,8 +75,7 @@ class ReliabilitySequence:
     def __post_init__(self):
         order = np.asarray(self.order, dtype=np.int64)
         object.__setattr__(self, "order", order)
-        n_max = order.size
-        if not np.array_equal(np.sort(order), np.arange(n_max)):
+        if not np.array_equal(np.sort(order), np.arange(order.size)):
             raise CodeConstructionError("reliability order is not a permutation")
 
     @property
@@ -208,7 +214,5 @@ def crc_check(code: PolarCode, info_bits) -> bool:
     info_bits = np.asarray(info_bits, dtype=np.uint8)
     if info_bits.shape != (code.info_len,):
         raise CodeConstructionError("info bit length mismatch")
-    if code.crc_len == 0:
-        return True
     expect = crc_bits(info_bits[: code.payload_len], code.crc)
     return bool(np.array_equal(info_bits[code.payload_len:], expect))

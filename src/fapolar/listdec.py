@@ -17,9 +17,11 @@ stop once a split leaves the list in place, and flip the survivors' bits once.
 A leaf that moves paths copies the path state, which holds only what later
 steps read (Tal & Vardy's per-depth layout, LLR form): messages into a node of
 size s in ``msgs[:, s:2s]`` of a (paths, N) array (the root reads the shared
-channel row), its child outputs in ``bits[:, s:2s]`` of a (paths, 2N) array,
-the codeword estimates finally in ``bits[:, N:2N]``. Steps hold column slices,
-never arrays, so no replaced path state outlives its step.
+channel row), and partial sums in codeword order in a (paths, N) ``bits``: the
+children of a node on positions [o, o + s) write its two halves, and its
+combine XORs the right half into the left in place, so ``bits`` ends as the
+codewords. Steps hold column slices, never arrays, so no replaced path state
+outlives its step.
 """
 
 from dataclasses import dataclass
@@ -267,7 +269,7 @@ class ListEngine:
         self._frozen = partial(_decode_frozen, f=f, mode=cfg.metric_mode)
         self._info_bit = partial(_decode_info_bit, mode=cfg.metric_mode)
         steps = []
-        self._compile(tree.root, code.block_len, steps)
+        self._compile(tree.root, 0, steps)
         self.steps = tuple(steps)
 
     def decode(self, channel_msgs) -> DecodeResult:
@@ -277,17 +279,17 @@ class ListEngine:
             raise ValueError("channel message length != block length")
         self.channel = root_msgs[None, :]
         self.msgs = np.zeros((1, n_bits), dtype=self.ops.dtype)
-        self.bits = np.zeros((1, 2 * n_bits), dtype=np.uint8)
+        self.bits = np.zeros((1, n_bits), dtype=np.uint8)
         self.mu = np.zeros(1, dtype=np.float64)
         for run, args in self.steps:
             run(self, *args)
         order = np.argsort(self.mu, kind="stable")
-        x_hats = self.bits[order, n_bits:]
+        x_hats = self.bits[order]
         return DecodeResult(polar_transform(x_hats), x_hats, self.mu[order], *self.ops.tables)
 
     def _compile(self, node, out, steps):
-        """Append the steps that decode the subtree at ``node`` into ``bits[:, out:out
-        + size]``, in activation order: (step function, its arguments)."""
+        """Append, in activation order, the (step function, arguments) pairs that
+        decode the subtree at ``node`` into codeword positions ``bits[:, out:out + size]``."""
         cls, size = type(self), node.size
         # messages into the node: the channel row at the root, else msgs[:, size:2 size]
         src, lo = ("channel", 0) if size == self.code.block_len else ("msgs", size)
@@ -301,12 +303,11 @@ class ListEngine:
         else:
             half = size // 2
             halves, child_in = (_cols(lo, lo + half), _cols(lo + half, lo + size)), _cols(half, size)
-            left, right = _cols(size, size + half), _cols(size + half, 2 * size)
             steps.append((cls._f, (node, src, *halves, child_in)))
-            self._compile(node.left, size, steps)
-            steps.append((cls._g, (node, src, *halves, left, child_in)))
-            self._compile(node.right, size + half, steps)
-            steps.append((cls._combine, (left, right, dest)))
+            self._compile(node.left, out, steps)
+            steps.append((cls._g, (node, src, *halves, _cols(out, out + half), child_in)))
+            self._compile(node.right, out + half, steps)
+            steps.append((cls._combine, (dest,)))
 
     # steps: each looks up the current path state, which forks replace
 
@@ -318,8 +319,9 @@ class ListEngine:
         alpha = getattr(self, src)
         self.ops.g_update(node, alpha[upper], alpha[lower], self.bits[left], self.msgs[child_in])
 
-    def _combine(self, left, right, dest):
-        combine_bits(self.bits[left], self.bits[right], out=self.bits[dest])
+    def _combine(self, dest):
+        beta = self.bits[dest]
+        combine_bits(beta, out=beta)
 
     def _leaf(self, node, src, alpha, dest, decoder):
         """Decode a span into ``bits[dest]``, moving paths unless all stay in place."""

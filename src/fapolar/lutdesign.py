@@ -5,12 +5,12 @@ f/g update along the decoder tree are quantized by placing 2^w - 1 boundaries
 in the sorted meta-LLR space so that the mutual information between the
 relevant bit and the quantizer output is maximal: the contiguous-quantizer
 dynamic program of Kurkoski & Yagi (IEEE Trans. IT 2014), optimal for a
-sorted space, costing time K*M^2/2 and memory one (M+1)^2 matrix plus one
-block for K levels over M observations. Each pruned-tree edge yields a
-decoding table, designed from the parent distribution that both of its input
-messages follow, and each leaf a translation table mapping messages to LLRs.
-MSIB f edges are the exception: their mapping is the min-sum index rule
-``msib_f_index``, at design time as in the decoder, so they store no table.
+sorted space, costing time K*M^2/2 and memory one block of cost rows plus a
+(K+1, M+1) table for K levels over M observations. Each pruned-tree edge
+yields a decoding table, designed from the parent distribution that both of
+its input messages follow, and each leaf a translation table mapping messages
+to LLRs. MSIB f edges are the exception: their mapping is the min-sum index
+rule ``msib_f_index``, at design time as in the decoder, so they store no table.
 
 Alphabets are kept sorted by LLR and exactly odd-symmetric: boundaries are
 designed on the nonnegative half of the score space and mirrored, and the
@@ -128,6 +128,26 @@ def merge_equal_llrs(scores, joint):
     return scores[new_group], _sum_by(group_index, joint, group_index[-1] + 1), group_index
 
 
+def _cost_rows(p0, p1, j0, j1, scratch):
+    """cost[j, i] for ends j0 <= j < j1 and starts i < j1, the MI (bits) of interval
+    [i, j) from the cumulative masses p0, p1 (-inf where i >= j), in scratch row 3."""
+    a, b, tot, term0, term1, px_tot = scratch[:, :(j1 - j0) * j1].reshape(6, j1 - j0, j1)
+    np.subtract(p0[j0:j1, None], p0[None, :j1], out=a)
+    np.subtract(p1[j0:j1, None], p1[None, :j1], out=b)
+    np.add(a, b, out=tot)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for mass, px, term in ((a, p0[-1], term0), (b, p1[-1], term1)):
+            # term = where(mass > 0, mass * (log2(max(mass, F)) - log2(max(px * tot, F))), 0)
+            np.log2(np.maximum(mass, PROB_FLOOR, out=term), out=term)
+            np.multiply(px, tot, out=px_tot)
+            np.log2(np.maximum(px_tot, PROB_FLOOR, out=px_tot), out=px_tot)
+            np.multiply(mass, np.subtract(term, px_tot, out=term), out=term)
+            np.copyto(term, 0.0, where=~(mass > 0))
+    cost = np.add(term0, term1, out=term0)
+    cost[:, j0:][np.triu_indices(j1 - j0)] = -np.inf  # forbid empty/backwards intervals
+    return cost
+
+
 def _optimal_partition(joint, out_size):
     """Boundaries of the MI-maximizing split into out_size contiguous intervals.
 
@@ -135,50 +155,40 @@ def _optimal_partition(joint, out_size):
     interval k+1, so intervals are [0, s0), [s0, s1), ..., [s_last, M).
 
     End-major DP over cost[j, i], the MI contribution (bits) of merging
-    observations [i, j). Only i < j is filled, DP_BLOCK_ROWS ends at a time;
-    each of the out_size steps takes a leftmost argmax along contiguous rows
-    of its feasible ends. Time about K*M^2/2 for K = out_size and M
-    observations; memory one (M+1)^2 matrix plus one block of temporaries.
+    observations [i, j), i < j. Ends go DP_BLOCK_ROWS at a time: a block's
+    cost rows are filled once, then each of the out_size steps takes a
+    leftmost argmax along them, reading ``best`` of earlier ends only (earlier
+    blocks, or this block's previous step). Time about K*M^2/2 for
+    K = out_size and M observations; memory six DP_BLOCK_ROWS * (M+1) scratch rows
+    for all blocks plus the (K+1, M+1) ``best`` table, never an (M+1)^2 matrix.
     """
     n_obs = joint.shape[1]
     if n_obs < out_size:
         raise LutDesignError(f"cannot split {n_obs} observations into {out_size} intervals")
     p0 = np.concatenate([[0.0], np.cumsum(joint[0])])
     p1 = np.concatenate([[0.0], np.cumsum(joint[1])])
-    px0, px1 = p0[-1], p1[-1]
-    cost = np.empty((n_obs + 1, n_obs + 1))
-    blocks = [(j0, min(j0 + DP_BLOCK_ROWS, n_obs + 1))
-              for j0 in range(1, n_obs + 1, DP_BLOCK_ROWS)]
-    for j0, j1 in blocks:
-        a = p0[j0:j1, None] - p0[None, :j1]
-        b = p1[j0:j1, None] - p1[None, :j1]
-        tot = a + b
-        with np.errstate(divide="ignore", invalid="ignore"):
-            term0 = np.where(a > 0, a * (np.log2(np.maximum(a, PROB_FLOOR)) -
-                                         np.log2(np.maximum(px0 * tot, PROB_FLOOR))), 0.0)
-            term1 = np.where(b > 0, b * (np.log2(np.maximum(b, PROB_FLOOR)) -
-                                         np.log2(np.maximum(px1 * tot, PROB_FLOOR))), 0.0)
-        block = np.add(term0, term1, out=cost[j0:j1, :j1])
-        block[:, j0:][np.triu_indices(j1 - j0)] = -np.inf  # forbid empty/backwards intervals
-    best = np.full(n_obs + 1, -np.inf)
-    best[0] = 0.0
+    best = np.full((out_size + 1, n_obs + 1), -np.inf)  # best[k, j]: k intervals cover [0, j)
+    best[0, 0] = 0.0
     back = np.zeros((out_size, n_obs + 1), dtype=np.int64)
-    for k in range(out_size):
-        # interval k+1 ends at j: j must leave enough room on both sides
-        lo_j, hi_j = k + 1, n_obs - (out_size - 1 - k) + 1
-        nxt = np.full(n_obs + 1, -np.inf)
-        for j0, j1 in blocks:  # same rows as the fill: cost[j, j:j1] is -inf
-            j0, j1 = max(j0, lo_j), min(j1, hi_j)
-            if j0 < j1:
-                cand = cost[j0:j1, k:j1] + best[k:j1]
+    # every block's temporaries, each contiguous: fresh ones per block re-fault
+    # their pages each time, and strided views of (rows, M+1) planes are ~35% slower
+    scratch = np.empty((6, min(DP_BLOCK_ROWS, n_obs) * (n_obs + 1)))
+    for j0 in range(1, n_obs + 1, DP_BLOCK_ROWS):
+        j1 = min(j0 + DP_BLOCK_ROWS, n_obs + 1)
+        cost = _cost_rows(p0, p1, j0, j1, scratch)
+        for k in range(out_size):
+            # interval k+1 ends at j: j must leave enough room on both sides
+            lo, hi = max(j0, k + 1), min(j1, n_obs - (out_size - 1 - k) + 1)
+            if lo < hi:
+                cand = np.add(cost[lo - j0:hi - j0, k:hi], best[k, k:hi],
+                              out=scratch[5, :(hi - lo) * (hi - k)].reshape(hi - lo, hi - k))
                 arg = np.argmax(cand, axis=1)
-                back[k, j0:j1] = arg + k
-                nxt[j0:j1] = cand[np.arange(j1 - j0), arg]
-        best = nxt
+                back[k, lo:hi] = arg + k
+                best[k + 1, lo:hi] = cand[np.arange(hi - lo), arg]
     splits = [n_obs]
     for k in range(out_size - 1, 0, -1):
         splits.append(back[k, splits[-1]])
-    return np.array(splits[:0:-1], dtype=np.int64), float(best[n_obs])
+    return np.array(splits[:0:-1], dtype=np.int64), float(best[out_size, n_obs])
 
 
 def mi_max_quantize(joint, out_size):
@@ -226,12 +236,9 @@ def _design_symmetric(scores, joint, out_size, zero_upper=None, max_groups=MAX_D
     """
     scores = np.asarray(scores, dtype=np.float64)
     joint = np.asarray(joint, dtype=np.float64)
-    n_obs = scores.size
     half_out = out_size // 2
     order = np.argsort(scores, kind="stable")
-    s_sorted = scores[order]
-    j_sorted = joint[:, order]
-    g_scores, g_joint, group_of = merge_equal_llrs(s_sorted, j_sorted)
+    g_scores, g_joint, group_of = merge_equal_llrs(scores[order], joint[:, order])
 
     n_neg = int(np.searchsorted(g_scores, 0.0, side="left"))
     n_zero = int(np.searchsorted(g_scores, 0.0, side="right")) - n_neg
@@ -254,19 +261,14 @@ def _design_symmetric(scores, joint, out_size, zero_upper=None, max_groups=MAX_D
     pos_levels = half_out + interval_of_right
     level_of_group[n_neg + n_zero:] = pos_levels
     level_of_group[:n_neg] = out_size - 1 - pos_levels[::-1]
-    if n_zero:
-        level_of_group[n_neg:n_neg + n_zero] = half_out  # placeholder, split below
-
     level_sorted = level_of_group[group_of]
-    if n_zero:
-        zero_rows = group_of == n_neg  # single merged zero group
+    if n_zero:  # the single merged zero group, left unset above, splits by side
         if zero_upper is None:
             raise LutDesignError("zero-score observations need a side rule")
         upper_sorted = np.asarray(zero_upper, dtype=bool)[order]
-        level_sorted = np.where(
-            zero_rows, np.where(upper_sorted, half_out, half_out - 1), level_sorted
-        )
-    level_of_obs = np.empty(n_obs, dtype=np.int64)
+        level_sorted = np.where(group_of == n_neg, np.where(upper_sorted, half_out, half_out - 1),
+                                level_sorted)
+    level_of_obs = np.empty(scores.size, dtype=np.int64)
     level_of_obs[order] = level_sorted
     return level_of_obs, _output_dist(level_of_obs, joint, out_size)
 
@@ -293,7 +295,6 @@ def quantize_channel(design_ebn0_db, rate, w):
         raise LutDesignError("grid too coarse for the alphabet")
     sigma2 = 1.0 / (2.0 * rate * 10.0 ** (design_ebn0_db / 10.0))
     sigma = float(np.sqrt(sigma2))
-    out_size = 1 << w
 
     span = 1.0 + 6.0 * sigma
     half_edges = np.linspace(0.0, span, CHANNEL_GRID_CELLS // 2 + 1)
@@ -307,9 +308,7 @@ def quantize_channel(design_ebn0_db, rate, w):
     # as the cell-mass posterior, exactly antisymmetric, and free of ties even
     # where far-tail cell masses underflow.
     centers = (edges[:-1] + edges[1:]) / (2.0 * sigma2) * 2.0
-    level_of_obs, dist = _design_symmetric(
-        centers, joint, out_size, max_groups=None
-    )
+    level_of_obs, dist = _design_symmetric(centers, joint, 1 << w, max_groups=None)
     steps = np.diff(level_of_obs)
     if np.any(steps < 0):
         raise LutDesignError("channel quantizer mapping is not monotone")
@@ -340,9 +339,8 @@ def build_f_table(dist: MessageDist):
     # box-plus of two LLRs can cancel to 0 in float: those take t1's side
     scores = f_exact(llr[:, None], llr[None, :], clip=np.inf)
     t1_upper = np.broadcast_to((np.arange(size) >= size // 2)[:, None], scores.shape)
-    level_of_obs, out = _design_symmetric(
-        scores.ravel(), _f_pair_joint(dist.joint), size, zero_upper=t1_upper.ravel()
-    )
+    level_of_obs, out = _design_symmetric(scores.ravel(), _f_pair_joint(dist.joint), size,
+                                          zero_upper=t1_upper.ravel())
     return level_of_obs.reshape(size, size).astype(np.int16), out
 
 
@@ -375,9 +373,8 @@ def build_g_table(dist: MessageDist):
     scores[:, :, 0] = llr[:, None] + llr[None, :]
     scores[:, :, 1] = -llr[:, None] + llr[None, :]
     t1_upper = np.broadcast_to((np.arange(size) >= size // 2)[:, None, None], scores.shape)
-    level_of_obs, out = _design_symmetric(
-        scores.ravel(), joint.reshape(2, -1), size, zero_upper=t1_upper.ravel()
-    )
+    level_of_obs, out = _design_symmetric(scores.ravel(), joint.reshape(2, -1), size,
+                                          zero_upper=t1_upper.ravel())
     return level_of_obs.reshape(size, size, 2).astype(np.int16), out
 
 
@@ -390,8 +387,7 @@ def msib_f_index(t1, t2, alphabet_size: int):
     """
     if alphabet_size < 2 or alphabet_size % 2:
         raise LutDesignError("index rule needs an even alphabet size")
-    t1 = np.asarray(t1)
-    t2 = np.asarray(t2)
+    t1, t2 = np.asarray(t1), np.asarray(t2)
     half = alphabet_size // 2
     up1, up2 = t1 >= half, t2 >= half
     mag1 = np.where(up1, t1 - half, half - 1 - t1)

@@ -70,7 +70,6 @@ class FrameDecoder:
             given = "no LUT set" if lutset is None else f"a LUT set of variant {lutset.variant}"
             raise ValueError(f"{spec.family} decoder given {given}")
         self.code = code
-        self.spec = spec
         self.lutset = lutset
         tree = build_tree(code, parse_kinds(spec.schedule))
         cfg = ListConfig(list_size=spec.list_size, metric_mode=spec.metric_mode)
@@ -187,11 +186,8 @@ def sweep(code: PolarCode, spec: DecoderSpec, ebn0_list, *, seed: int = 0,
         point = run_point(code, decoder, channel, seed=seed, max_frames=max_frames,
                           min_errors=min_errors, workers=workers)
         if result.points and point.bler > result.points[-1].bler:
-            warnings.warn(
-                f"BLER inversion at {ebn0} dB ({point.bler:.3g} > "
-                f"{result.points[-1].bler:.3g}); likely statistical noise",
-                stacklevel=2,
-            )
+            warnings.warn(f"BLER inversion at {ebn0} dB ({point.bler:.3g} > "
+                          f"{result.points[-1].bler:.3g}); likely statistical noise", stacklevel=2)
         result.points.append(point)
     result.wall_time_s = time.perf_counter() - t0
     return result
@@ -251,7 +247,5 @@ def write_json(result: SimResult, path):
 def code_from_options(block_len, payload_len, crc_len, rate_profile=None,
                       crc_poly=None) -> PolarCode:
     seq = load_sequence(rate_profile) if rate_profile else None
-    crc_cfg = None
-    if crc_poly is not None:
-        crc_cfg = CrcConfig(width=crc_len, polynomial=int(str(crc_poly), 0))
+    crc_cfg = None if crc_poly is None else CrcConfig(crc_len, int(str(crc_poly), 0))
     return construct(block_len, payload_len, crc_len, seq=seq, crc_cfg=crc_cfg)

@@ -120,12 +120,7 @@ def build_tree(code: PolarCode, enabled_kinds=ALL_NODE_KINDS) -> DecoderTree:
         return node
 
     root = rec(0, code.block_len, 0)
-    return DecoderTree(
-        block_len=code.block_len,
-        root=root,
-        schedule=tuple(schedule),
-        edge_kinds=tuple(edge_kinds),
-    )
+    return DecoderTree(code.block_len, root, tuple(schedule), tuple(edge_kinds))
 
 
 def sc_tree(code: PolarCode) -> DecoderTree:

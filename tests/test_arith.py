@@ -58,12 +58,12 @@ def test_g_func_cases():
 
 
 def test_combine_bits():
-    assert combine_bits([0], [1]).tolist() == [1, 1]
-    assert combine_bits([1, 0], [1, 1]).tolist() == [0, 1, 1, 1]
-    beta = np.array([1, 0, 1])
-    assert combine_bits(np.zeros(3, dtype=np.uint8), beta).tolist() == [1, 0, 1, 1, 0, 1]
+    # child outputs side by side, [left | right]; the parent is [left XOR right | right]
+    assert combine_bits([0, 1]).tolist() == [1, 1]
+    assert combine_bits([1, 0, 1, 1]).tolist() == [0, 1, 1, 1]
+    assert combine_bits([0, 0, 0, 1, 0, 1]).tolist() == [1, 0, 1, 1, 0, 1]
     with pytest.raises(ValueError):
-        combine_bits([0, 1], [1])
+        combine_bits([0, 1, 1])
 
 
 def test_hard_decision_convention():

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from fapolar import cli
 from fapolar.cli import main
 
@@ -25,6 +27,13 @@ def test_tree_command_nodes_filter(capsys):
                          "--schedule", "sc")
     assert rc == 0
     assert len(out.strip().splitlines()) == 1 + 8
+
+
+def test_bad_schedule_names_the_unknown_kind(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["tree", "--n", "8", "--k", "3", "--schedule", "ssc"])
+    assert exc.value.code == 2
+    assert "unknown node kind 'ssc'" in capsys.readouterr().err
 
 
 def test_design_and_tables_roundtrip(capsys, tmp_path):

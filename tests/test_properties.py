@@ -1,9 +1,9 @@
 """Property tests (hypothesis): the list engine against a node-by-node
 reference walk of the same tree, the rate-1/SPC constituent decoders against
 their split-by-split form, the arithmetic kernels' in-place forms against
-their allocating forms and against the formulas they replaced, and the
-blocked quantizer DP against the full-matrix DP. Examples are derandomized
-(see conftest)."""
+their allocating forms and against the formulas they replaced, the blocked
+quantizer DP against the full-matrix DP, and the CRC generator product against
+the per-bit register loop. Examples are derandomized (see conftest)."""
 
 import dataclasses
 from unittest import mock
@@ -16,6 +16,7 @@ from hypothesis.extra import numpy as hnp
 import fapolar as fp
 from fapolar import lutdesign
 from fapolar.arith import LLR_CLIP, combine_bits, f_exact, f_minsum, g_func, metric_increment
+from fapolar.codes import crc_bits
 from fapolar.listdec import decode_rate0, decode_rate1, decode_rep, decode_spc
 from fapolar.tree import NodeKind
 
@@ -222,10 +223,16 @@ def test_g_func_out_equals_allocating_form(ab, data):
 def test_combine_bits_out_equals_allocating_form(rows, half, data):
     left, right = (data.draw(hnp.arrays(np.uint8, (rows, half), elements=st.integers(0, 1)))
                    for _ in range(2))
+    beta = np.concatenate([left, right], axis=1)
+    parent = np.concatenate([left ^ right, right], axis=1)  # the two-argument form's result
     out = np.full((rows, 2 * half), 7, dtype=np.uint8)
-    assert combine_bits(left, right, out=out) is out
-    assert same_bits(out, combine_bits(left, right))
-    assert same_bits(combine_bits(left[0].tolist(), right[0].tolist()), out[0])
+    assert combine_bits(beta, out=out) is out
+    assert same_bits(out, parent)
+    assert same_bits(combine_bits(beta), parent)
+    assert same_bits(combine_bits(beta[0].tolist()), parent[0])
+    assert same_bits(beta, np.concatenate([left, right], axis=1))  # inputs left as they were
+    assert combine_bits(beta, out=beta) is beta
+    assert same_bits(beta, parent)
 
 
 # ---------------------------------------------------------------------------
@@ -432,3 +439,27 @@ def test_mi_max_quantize_equals_matrix_form_bit_for_bit(rows, data):
             got = lutdesign.mi_max_quantize(joint, out_size)
             for x, y in zip(got, matrix_quantize(joint, out_size)):
                 assert same_bits(x, y)
+
+
+# ---------------------------------------------------------------------------
+# CRC generator product vs the per-bit register loop it replaced
+
+def crc_register_loop(payload, cfg):
+    """The CRC as first written: one MSB-first register shift per payload bit."""
+    reg, top, mask = 0, 1 << (cfg.width - 1), (1 << cfg.width) - 1
+    for b in payload:
+        reg ^= int(b) << (cfg.width - 1)
+        reg = ((reg << 1) ^ cfg.polynomial) & mask if reg & top else (reg << 1) & mask
+    return np.array([(reg >> (cfg.width - 1 - i)) & 1 for i in range(cfg.width)], dtype=np.uint8)
+
+
+@given(st.sampled_from([1, 8, 16]), st.data())
+def test_crc_generator_product_equals_register_loop(width, data):
+    cfg = fp.CrcConfig(width, data.draw(st.integers(0, (1 << width) - 1)))
+    payloads = data.draw(hnp.arrays(np.uint8, (3, data.draw(st.integers(0, 600))),
+                                    elements=st.integers(0, 1)))
+    for payload in payloads:
+        assert same_bits(crc_bits(payload, cfg), crc_register_loop(payload, cfg))
+    # a stack of payloads along the last axis: one CRC per row
+    assert same_bits(crc_bits(payloads, cfg),
+                     np.stack([crc_register_loop(p, cfg) for p in payloads]))
