@@ -100,7 +100,8 @@ def _cmd_simulate(args, parser):
         args.crc = lutset.crc_len
     code = code_from_options(args.n, args.k, args.crc, args.rate_profile,
                              args.crc_poly)
-    spec = DecoderSpec(args.decoder, schedule_text(args.schedule), args.metric, args.list,
+    family = args.decoder or (lutset.variant if lutset is not None else "llr")
+    spec = DecoderSpec(family, schedule_text(args.schedule), args.metric, args.list,
                        lut_path=args.lut or "")
     points = [float(tok) for tok in str(args.ebn0_list).split(",") if tok != ""]
     result = sweep(code, spec, points, seed=args.seed, max_frames=args.max_frames,
@@ -146,7 +147,8 @@ def build_parser():
     p_sim.add_argument("--crc", type=int, default=0)
     p_sim.add_argument("--rate-profile", default=None, metavar="FILE")
     p_sim.add_argument("--crc-poly", default=None, metavar="HEX")
-    p_sim.add_argument("--decoder", choices=("llr", "ib", "msib"), default="llr")
+    p_sim.add_argument("--decoder", choices=("llr", "ib", "msib"),
+                       help="decoder family (default: the --lut set's variant, else llr)")
     p_sim.add_argument("--lut", default=None, metavar="FILE")
     p_sim.add_argument("--schedule", type=_schedule, default="fast", help=SCHEDULE_HELP)
     p_sim.add_argument("--metric", choices=("exact", "approx"), default="approx")

@@ -28,8 +28,9 @@ class CrcConfig:
     def __post_init__(self):
         if self.width < 0:
             raise CodeConstructionError("CRC width must be >= 0")
-        if self.width and self.polynomial >> self.width:
-            raise CodeConstructionError("CRC polynomial wider than register")
+        if self.polynomial >> self.width:
+            raise CodeConstructionError(f"CRC polynomial {self.polynomial:#x} wider than "
+                                        f"its {self.width}-bit register")
 
 
 # CRC-16/CCITT (XModem flavour: zero init, no output xor).

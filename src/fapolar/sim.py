@@ -36,6 +36,8 @@ class ChannelModel:
     def __post_init__(self):
         if not 0 < self.rate <= 1:
             raise ValueError("rate must be in (0, 1]")
+        if not np.isfinite(self.ebn0_db):
+            raise ValueError(f"Eb/N0 must be finite, got {self.ebn0_db!r} dB")
 
     @property
     def sigma(self) -> float:
@@ -95,14 +97,9 @@ class SimPoint:
 
 @dataclass
 class SimResult:
-    code_block_len: int
-    code_payload_len: int
-    code_crc_len: int
-    decoder: DecoderSpec
-    seed: int
+    config: dict       # run_config(...): hashed, and written to the JSON and CSV
     config_hash: str
     points: list = field(default_factory=list)
-    lut_w: int = 0
     wall_time_s: float = 0.0
 
 
@@ -140,6 +137,15 @@ def _batch_results(jobs, workers):
             in_flight.extend((job[-1], pool.submit(_batch_job, job)) for job in islice(jobs, 1))
 
 
+def _check_run(seed, max_frames, min_errors, workers):
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    if max_frames < 1 or min_errors < 0:
+        raise ValueError("invalid stop criteria")
+    if workers < 1:
+        raise ValueError(f"worker count must be >= 1, got {workers}")
+
+
 def run_point(code: PolarCode, decoder, channel: ChannelModel, *,
               seed: int = 0, max_frames: int = 10000, min_errors: int = 100,
               workers: int = 1) -> SimPoint:
@@ -148,10 +154,7 @@ def run_point(code: PolarCode, decoder, channel: ChannelModel, *,
     The processed frame set depends only on the stop rule, never on worker
     count, so results are reproducible.
     """
-    if max_frames < 1 or min_errors < 0:
-        raise ValueError("invalid stop criteria")
-    if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
+    _check_run(seed, max_frames, min_errors, workers)
     t0 = time.perf_counter()
     errors = 0
     jobs = ((code, decoder, channel, seed, s, min(s + BATCH_FRAMES, max_frames))
@@ -169,42 +172,45 @@ def run_point(code: PolarCode, decoder, channel: ChannelModel, *,
 def sweep(code: PolarCode, spec: DecoderSpec, ebn0_list, *, seed: int = 0,
           max_frames: int = 10000, min_errors: int = 100, workers: int = 1,
           lutset: LutSet = None) -> SimResult:
-    """run_point per Eb/N0; warns (does not fail) if BLER is non-monotone."""
+    """run_point per Eb/N0; warns (does not fail) if BLER is non-monotone.
+    Every input is checked, and the decoder built, before the first frame."""
+    _check_run(seed, max_frames, min_errors, workers)
+    config = run_config(code, spec, lutset, ebn0_list, seed, max_frames, min_errors)
+    channels = [ChannelModel(ebn0_db=ebn0, rate=code.rate) for ebn0 in config["ebn0"]]
     decoder = FrameDecoder(code, spec, lutset=lutset)
-    result = SimResult(
-        code_block_len=code.block_len,
-        code_payload_len=code.payload_len,
-        code_crc_len=code.crc_len,
-        decoder=spec,
-        seed=seed,
-        config_hash=config_hash(code, spec, ebn0_list, seed, max_frames, min_errors),
-        lut_w=decoder.lutset.w if decoder.lutset is not None else 0,
-    )
+    result = SimResult(config, config_hash(config))
     t0 = time.perf_counter()
-    for ebn0 in ebn0_list:
-        channel = ChannelModel(ebn0_db=float(ebn0), rate=code.rate)
+    for channel in channels:
         point = run_point(code, decoder, channel, seed=seed, max_frames=max_frames,
                           min_errors=min_errors, workers=workers)
         if result.points and point.bler > result.points[-1].bler:
-            warnings.warn(f"BLER inversion at {ebn0} dB ({point.bler:.3g} > "
+            warnings.warn(f"BLER inversion at {channel.ebn0_db} dB ({point.bler:.3g} > "
                           f"{result.points[-1].bler:.3g}); likely statistical noise", stacklevel=2)
         result.points.append(point)
     result.wall_time_s = time.perf_counter() - t0
     return result
 
 
-def config_hash(code: PolarCode, spec: DecoderSpec, ebn0_list, seed, max_frames,
-                min_errors) -> str:
-    blob = json.dumps({
-        "block_len": code.block_len,
-        "payload_len": code.payload_len,
-        "crc_len": code.crc_len,
+def run_config(code: PolarCode, spec: DecoderSpec, lutset: LutSet, ebn0_list, seed,
+               max_frames, min_errors) -> dict:
+    """Everything that fixes a run's result: the code (CRC polynomial and frozen
+    mask included), the decoder, the LUT set's identity, the points and the stop rule."""
+    return {
+        "code": {"block_len": code.block_len, "payload_len": code.payload_len,
+                 "crc_len": code.crc_len, "crc_poly": code.crc.polynomial,
+                 "frozen_mask": np.packbits(code.frozen_mask).tobytes().hex()},  # big-endian bits
         "decoder": asdict(spec),
+        "lut": None if lutset is None else {"w": lutset.w, "design_ebn0_db": lutset.design_ebn0_db,
+                                             "schedule_hash": lutset.schedule_hash},
         "ebn0": [float(e) for e in ebn0_list],
-        "seed": seed,
+        "seed": int(seed),
         "max_frames": max_frames,
         "min_errors": min_errors,
-    }, sort_keys=True)
+    }
+
+
+def config_hash(config: dict) -> str:
+    blob = json.dumps(config, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -213,33 +219,23 @@ CSV_COLUMNS = ["ebn0_db", "frames", "errors", "bler", "decoder", "schedule",
 
 
 def write_csv(result: SimResult, path):
-    spec = result.decoder
-    variant = spec.family if spec.family != "llr" else "float"
+    spec = result.config["decoder"]
+    variant = spec["family"] if spec["family"] != "llr" else "float"
+    w = result.config["lut"]["w"] if result.config["lut"] is not None else 0
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for p in result.points:
             writer.writerow([
                 repr(p.ebn0_db), p.frames, p.block_errors, repr(p.bler),
-                spec.family, spec.schedule, variant, spec.metric_mode,
-                result.lut_w, spec.list_size, result.seed,
+                spec["family"], spec["schedule"], variant, spec["metric_mode"],
+                w, spec["list_size"], result.config["seed"],
             ])
 
 
 def write_json(result: SimResult, path):
-    doc = {
-        "config_hash": result.config_hash,
-        "code": {
-            "block_len": result.code_block_len,
-            "payload_len": result.code_payload_len,
-            "crc_len": result.code_crc_len,
-        },
-        "decoder": asdict(result.decoder),
-        "lut_w": result.lut_w,
-        "seed": result.seed,
-        "wall_time_s": result.wall_time_s,
-        "points": [asdict(p) for p in result.points],
-    }
+    doc = {"config_hash": result.config_hash, **result.config,
+           "wall_time_s": result.wall_time_s, "points": [asdict(p) for p in result.points]}
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -129,6 +130,48 @@ def test_config_errors_exit_2(capsys, tmp_path):
         assert want_rc == 0 or repr(key) in err
 
 
+def test_simulate_lut_sets_the_decoder_family(capsys, tmp_path):
+    lut_file, json_file = tmp_path / "lut.json", tmp_path / "out.json"
+    run_cli(capsys, "design", "--n", "32", "--k", "12", "--crc", "4",
+            "--variant", "ib", "--ebn0", "1.0", "--w", "3", "--out", str(lut_file))
+    rc, out, _ = run_cli(capsys, "simulate", "--lut", str(lut_file), "--ebn0-list", "",
+                         "--json-out", str(json_file))
+    assert rc == 0 and out.strip() == ""
+    doc = json.loads(json_file.read_text())
+    assert doc["decoder"]["family"] == "ib" and doc["lut"]["w"] == 3
+    rc, _, err = run_cli(capsys, "simulate", "--lut", str(lut_file), "--decoder", "msib",
+                         "--ebn0-list", "")
+    assert rc == 2 and "msib decoder given a LUT set of variant ib" in err
+
+
+@pytest.mark.parametrize("ebn0", ["inf", "-inf", "nan", "2.0,inf"])
+def test_simulate_refuses_non_finite_ebn0_before_any_frame(capsys, tmp_path, monkeypatch, ebn0):
+    import fapolar.sim as sim
+
+    lut_file = tmp_path / "lut.json"
+    run_cli(capsys, "design", "--n", "32", "--k", "12", "--crc", "4",
+            "--variant", "msib", "--ebn0", "1.0", "--w", "3", "--out", str(lut_file))
+    frames = []
+    monkeypatch.setattr(sim, "run_frames", lambda *args: frames.append(args) or 0)
+    for family in (("--n", "32", "--k", "12", "--crc", "4"), ("--lut", str(lut_file))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run_cli(capsys, "simulate", *family, f"--ebn0-list={ebn0}",
+                                   "--max-frames", "16", "--min-errors", "0")
+        assert rc == 2 and "Eb/N0 must be finite" in err and out == "", family
+    assert frames == []
+
+
+def test_simulate_refuses_bad_run_options_without_points(capsys):
+    # checked even when no point runs, so none of them reaches the record
+    for extra, message in ((("--seed", "-1"), "seed must be a non-negative integer, got -1"),
+                           (("--max-frames", "0"), "invalid stop criteria"),
+                           (("--crc-poly", "0x1021"), "0x1021 wider than its 0-bit register")):
+        rc, _, err = run_cli(capsys, "simulate", "--n", "32", "--k", "12", *extra,
+                             "--ebn0-list", "")
+        assert rc == 2 and message in err, extra
+
+
 def test_malformed_lut_file_exits_2(capsys, tmp_path):
     lut_file = tmp_path / "lut.json"
     run_cli(capsys, "design", "--n", "8", "--k", "3", "--crc", "1", "--variant", "ib",
@@ -172,6 +215,6 @@ def test_simulate_empty_point_list_builds_the_decoder(capsys, tmp_path):
                          "--ebn0-list", "", "--json-out", str(json_file))
     assert rc == 0 and out.strip() == ""
     doc = json.loads(json_file.read_text())
-    assert doc["lut_w"] == 3 and doc["points"] == []
+    assert doc["lut"]["w"] == 3 and doc["points"] == []
     assert len(doc["config_hash"]) == 16 and doc["config_hash"] != "empty"
     assert doc["decoder"]["schedule"] == "fast" and "node_kinds" not in doc["decoder"]

@@ -164,6 +164,14 @@ def test_default_crc_config_widths():
     cfg1 = default_crc_config(1)
     assert cfg1.width == 1 and cfg1.polynomial == 1
     assert default_crc_config(8).polynomial & 1
+    assert default_crc_config(0) == fp.CrcConfig(0, 0)
+
+
+def test_crc_polynomial_must_fit_its_register():
+    # width 0 has no register: a polynomial there would name a CRC that checks nothing
+    for width, poly in ((0, 0x1021), (0, 1), (4, 0x10), (16, 0x10000)):
+        with pytest.raises(CodeConstructionError, match=f"{poly:#x} wider than its {width}-bit"):
+            fp.CrcConfig(width, poly)
 
 
 def test_packaged_sequence_is_full_permutation(nr_seq):

@@ -11,6 +11,7 @@ from fapolar.sim import (
     DecoderSpec,
     FrameDecoder,
     config_hash,
+    run_config,
     run_point,
     sweep,
     write_csv,
@@ -23,6 +24,9 @@ def test_channel_sigma_definition():
     assert abs(channel.sigma - 1.0) < 1e-12
     with pytest.raises(ValueError):
         ChannelModel(ebn0_db=1.0, rate=0.0)
+    for ebn0 in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="Eb/N0 must be finite"):
+            ChannelModel(ebn0_db=ebn0, rate=0.5)
 
 
 def test_noise_variance_within_one_percent():
@@ -69,7 +73,7 @@ def test_schedule_spellings_build_one_tree(tmp_path, schedule):
     result = sweep(code, spec, [2.0], seed=1, max_frames=16, min_errors=0)
     canonical = DecoderSpec(family="llr", schedule=text, list_size=2)
     assert spec == canonical
-    assert result.config_hash == config_hash(code, canonical, [2.0], 1, 16, 0)
+    assert result.config_hash == config_hash(run_config(code, canonical, None, [2.0], 1, 16, 0))
     write_csv(result, tmp_path / "out.csv")
     with open(tmp_path / "out.csv", newline="") as fh:
         assert [row["schedule"] for row in csv.DictReader(fh)] == [text]
@@ -150,6 +154,11 @@ def test_run_point_stops_on_errors(monkeypatch):
     assert point.frames < 10 ** 5
     with pytest.raises(ValueError):
         run_point(code, decoder, ChannelModel(0.0, code.rate), max_frames=0)
+    for seed in (-1, 1.5, "3", None):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            run_point(code, decoder, ChannelModel(0.0, code.rate), seed=seed)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            sweep(code, DecoderSpec(family="llr", list_size=2), [], seed=seed)
     for workers in (0, -3):
         with pytest.raises(ValueError, match="worker count"):
             run_point(code, decoder, ChannelModel(0.0, code.rate), workers=workers)
@@ -193,6 +202,36 @@ def test_sweep_csv_and_json_deterministic(tmp_path):
     doc = json.loads(json_path.read_text())
     assert doc["config_hash"] == result.config_hash
     assert len(doc["points"]) == 3
+
+
+def test_record_names_the_code_and_the_lut_set(tmp_path):
+    # codes that differ only in their ranking or CRC polynomial, and sets that
+    # differ only in their design point, each get their own record and hash
+    from fapolar.lutdesign import design_lutset
+
+    nr = fp.construct(32, 12, 4)
+    reversed_ranking = fp.ReliabilitySequence(fp.nr_sequence().for_length(32)[::-1])
+    codes = [nr, fp.construct(32, 12, 4, seq=reversed_ranking),
+             fp.construct(32, 12, 4, crc_cfg=fp.CrcConfig(4, 0x3))]
+    llr = DecoderSpec(family="llr", list_size=2)
+    hashes = {sweep(code, llr, [], seed=0).config_hash for code in codes}
+    msib = DecoderSpec(family="msib", list_size=2, lut_path="msib.json")
+    lutsets = [design_lutset(nr, fp.build_tree(nr), "msib", ebn0, 4) for ebn0 in (0.0, 3.0)]
+    hashes |= {sweep(nr, msib, [], seed=0, lutset=lutset).config_hash for lutset in lutsets}
+    assert len(hashes) == 5
+    # the JSON holds the hashed dict itself, beside the hash, wall time and points
+    result = sweep(nr, msib, [8.0], seed=2, max_frames=16, min_errors=0, lutset=lutsets[1])
+    write_json(result, tmp_path / "out.json")
+    doc = json.loads((tmp_path / "out.json").read_text())
+    assert doc.pop("config_hash") == result.config_hash == config_hash(result.config)
+    assert doc.pop("wall_time_s") == result.wall_time_s
+    assert doc.pop("points") == [asdict(p) for p in result.points]
+    assert doc == result.config == run_config(nr, msib, lutsets[1], [8.0], 2, 16, 0)
+    assert doc["lut"] == {"w": 4, "design_ebn0_db": 3.0,
+                          "schedule_hash": fp.build_tree(nr).schedule_hash()}
+    assert doc["code"]["crc_poly"] == nr.crc.polynomial
+    frozen = np.unpackbits(np.frombuffer(bytes.fromhex(doc["code"]["frozen_mask"]), np.uint8))
+    assert np.array_equal(frozen.astype(bool), nr.frozen_mask)
 
 
 def test_sweep_statistical_sanity_decreasing_bler():
