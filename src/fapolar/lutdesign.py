@@ -15,10 +15,24 @@ rule ``msib_f_index``, at design time as in the decoder, so they store no table.
 Alphabets are kept sorted by LLR and exactly odd-symmetric: boundaries are
 designed on the nonnegative half of the score space and mirrored, and the
 translation LLRs are symmetrized by averaging mirrored magnitudes.
+
+Every design step carries a leading table axis: ``build_f_table`` and
+``build_g_table`` take a list of parent distributions and run one sort, one
+tie merge and one quantizer DP for all of them, rows with fewer groups
+padded with zero mass at the end. ``design_lutset`` walks the tree one depth
+at a time and hands each depth's tables over in as few batches as keep the
+DP's scratch planes within DP_BUDGET_CELLS, the channel quantizer's own
+block, so design cost follows the tree's depth count rather than its table
+count and a batch never needs more memory than the channel quantizer. The
+channel quantizer, and any table at w >= 6 (its pre-binned DP fills the
+budget alone), is a batch of one. Each row's arithmetic is elementwise and
+in the order a lone table would use, so a table comes out the same, bit for
+bit, in any batch.
 """
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtr
@@ -34,6 +48,9 @@ CHANNEL_GRID_CELLS = 2000
 MAX_DESIGN_GROUPS = 512
 # Interval ends per block of the quantizer DP's cost fill and argmax steps.
 DP_BLOCK_ROWS = 64
+# Cells per scratch plane of one quantizer DP: the channel quantizer's block,
+# so a batch of tables never needs more scratch than the channel does.
+DP_BUDGET_CELLS = DP_BLOCK_ROWS * (CHANNEL_GRID_CELLS // 2 + 1)
 
 LUTSET_FORMAT = "fapolar-lutset-v1"
 
@@ -82,17 +99,34 @@ class MessageDist:
 
 
 def symmetrize_llrs(llr_table) -> np.ndarray:
-    """Force exact odd symmetry by averaging mirrored magnitudes."""
+    """Force exact odd symmetry by averaging mirrored magnitudes (along the last axis)."""
     llr = np.asarray(llr_table, dtype=np.float64)
-    half = llr.size // 2
-    mag = (llr[half:] - llr[:half][::-1]) / 2.0
-    return np.concatenate([-mag[::-1], mag])
+    half = llr.shape[-1] // 2
+    mag = (llr[..., half:] - llr[..., :half][..., ::-1]) / 2.0
+    return np.concatenate([-mag[..., ::-1], mag], axis=-1)
 
 
 def _llrs_from_joint(joint) -> np.ndarray:
-    p0 = np.maximum(joint[0], PROB_FLOOR)
-    p1 = np.maximum(joint[1], PROB_FLOOR)
+    """LLRs of the columns of a (..., 2, |T|) joint."""
+    p0 = np.maximum(joint[..., 0, :], PROB_FLOOR)
+    p1 = np.maximum(joint[..., 1, :], PROB_FLOOR)
     return np.log(p0) - np.log(p1)
+
+
+def noise_variance(ebn0_db, rate) -> float:
+    """Noise variance 1/(2 R 10^(EbN0/10)) of BPSK over AWGN at ``ebn0_db`` dB.
+    A ``ValueError`` names an Eb/N0 that is not finite or gives no finite
+    positive variance (the power overflows or underflows)."""
+    ebn0_db = float(ebn0_db)
+    if not np.isfinite(ebn0_db):
+        raise ValueError(f"Eb/N0 must be finite, got {ebn0_db!r} dB")
+    try:
+        sigma2 = 1.0 / (2.0 * rate * 10.0 ** (ebn0_db / 10.0))
+    except (OverflowError, ZeroDivisionError):
+        sigma2 = np.inf
+    if not 0.0 < sigma2 < np.inf:
+        raise ValueError(f"Eb/N0 {ebn0_db!r} dB gives no finite positive noise variance")
+    return sigma2
 
 
 def mutual_information(joint) -> float:
@@ -107,8 +141,30 @@ def mutual_information(joint) -> float:
 
 
 def _sum_by(index, joint, size):
-    """(2, size) masses: joint[x, y] summed into column index[y], in y order."""
-    return np.stack([np.bincount(index, weights=row, minlength=size) for row in joint])
+    """(T, 2, size) masses: joint[r, x, y] summed into column index[r, y] of row r,
+    in y order (one bincount over all rows, each row offset by ``size``)."""
+    n_rows = joint.shape[0]
+    flat = (index + size * np.arange(n_rows)[:, None]).ravel()
+    out = np.empty((n_rows, 2, size))
+    for x in (0, 1):
+        out[:, x] = np.bincount(flat, weights=joint[:, x].ravel(),
+                                minlength=n_rows * size).reshape(n_rows, size)
+    return out
+
+
+def _merge_sorted(scores, joint):
+    """Group equal neighbours in each row of ascending ``scores`` (T, n) and
+    sum their ``joint`` (T, 2, n) masses, a lossless merge. Returns
+    (group_scores, group_joint, group_of, n_groups): row r has n_groups[r]
+    groups, padded to the most groups of any row with score 0 and zero mass,
+    and group_of[r, y] is observation y's group."""
+    new_group = np.ones(scores.shape, dtype=bool)
+    np.not_equal(scores[:, 1:], scores[:, :-1], out=new_group[:, 1:])
+    group_of = np.cumsum(new_group, axis=1) - 1
+    n_groups = group_of[:, -1] + 1
+    group_scores = np.zeros((len(scores), n_groups.max()))
+    group_scores[np.nonzero(new_group)[0], group_of[new_group]] = scores[new_group]
+    return group_scores, _sum_by(group_of, joint, group_scores.shape[1]), group_of, n_groups
 
 
 def merge_equal_llrs(scores, joint):
@@ -121,22 +177,30 @@ def merge_equal_llrs(scores, joint):
     joint = np.asarray(joint, dtype=np.float64)
     if np.any(np.diff(scores) < 0):
         raise LutDesignError("scores must be sorted ascending")
-    new_group = np.empty(scores.size, dtype=bool)
-    new_group[0] = True
-    new_group[1:] = scores[1:] != scores[:-1]
-    group_index = np.cumsum(new_group) - 1
-    return scores[new_group], _sum_by(group_index, joint, group_index[-1] + 1), group_index
+    g_scores, g_joint, group_of, (n_groups,) = _merge_sorted(scores[None], joint[None])
+    return g_scores[0, :n_groups], g_joint[0, :, :n_groups], group_of[0]
+
+
+@lru_cache(maxsize=None)  # n <= DP_BLOCK_ROWS
+def _upper_mask(n):
+    """Read-only (n, n) mask of the entries on and above the diagonal."""
+    mask = np.triu(np.ones((n, n), dtype=bool))
+    mask.flags.writeable = False
+    return mask
 
 
 def _cost_rows(p0, p1, j0, j1, scratch):
-    """cost[j, i] for ends j0 <= j < j1 and starts i < j1, the MI (bits) of interval
-    [i, j) from the cumulative masses p0, p1 (-inf where i >= j), in scratch row 3."""
-    a, b, tot, term0, term1, px_tot = scratch[:, :(j1 - j0) * j1].reshape(6, j1 - j0, j1)
-    np.subtract(p0[j0:j1, None], p0[None, :j1], out=a)
-    np.subtract(p1[j0:j1, None], p1[None, :j1], out=b)
+    """cost[r, j, i] for ends j0 <= j < j1 and starts i < j1 of each row r, the MI
+    (bits) of interval [i, j) from the cumulative masses p0, p1 (T, M+1), -inf
+    where i >= j; in scratch plane 3."""
+    n_rows = p0.shape[0]
+    planes = scratch[:, :n_rows * (j1 - j0) * j1].reshape(6, n_rows, j1 - j0, j1)
+    a, b, tot, term0, term1, px_tot = planes
+    np.subtract(p0[:, j0:j1, None], p0[:, None, :j1], out=a)
+    np.subtract(p1[:, j0:j1, None], p1[:, None, :j1], out=b)
     np.add(a, b, out=tot)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for mass, px, term in ((a, p0[-1], term0), (b, p1[-1], term1)):
+        for mass, px, term in ((a, p0[:, -1, None, None], term0), (b, p1[:, -1, None, None], term1)):
             # term = where(mass > 0, mass * (log2(max(mass, F)) - log2(max(px * tot, F))), 0)
             np.log2(np.maximum(mass, PROB_FLOOR, out=term), out=term)
             np.multiply(px, tot, out=px_tot)
@@ -144,51 +208,67 @@ def _cost_rows(p0, p1, j0, j1, scratch):
             np.multiply(mass, np.subtract(term, px_tot, out=term), out=term)
             np.copyto(term, 0.0, where=~(mass > 0))
     cost = np.add(term0, term1, out=term0)
-    cost[:, j0:][np.triu_indices(j1 - j0)] = -np.inf  # forbid empty/backwards intervals
+    # forbid empty/backwards intervals
+    np.copyto(cost[:, :, j0:], -np.inf, where=_upper_mask(j1 - j0))
     return cost
 
 
-def _optimal_partition(joint, out_size):
-    """Boundaries of the MI-maximizing split into out_size contiguous intervals.
+def _optimal_partition(joint, out_size, lengths=None):
+    """Boundaries of the MI-maximizing split of each row into out_size contiguous intervals.
 
-    Returns (split_points, value): split_points[k] is the first observation of
-    interval k+1, so intervals are [0, s0), [s0, s1), ..., [s_last, M).
+    ``joint`` is (T, 2, M): T tables at once, row r's observations in its
+    first lengths[r] columns (all M by default) and zero mass after them.
+    Returns (splits, values): splits[r, k] is the first observation of
+    interval k+1 of row r, so its intervals are [0, s0), [s0, s1), ...,
+    [s_last, lengths[r]).
 
-    End-major DP over cost[j, i], the MI contribution (bits) of merging
+    End-major DP over cost[r, j, i], the MI contribution (bits) of merging
     observations [i, j), i < j. Ends go DP_BLOCK_ROWS at a time: a block's
-    cost rows are filled once, then each of the out_size steps takes a
-    leftmost argmax along them, reading ``best`` of earlier ends only (earlier
-    blocks, or this block's previous step). Time about K*M^2/2 for
-    K = out_size and M observations; memory six DP_BLOCK_ROWS * (M+1) scratch rows
-    for all blocks plus the (K+1, M+1) ``best`` table, never an (M+1)^2 matrix.
+    cost rows are filled once for all T rows, then each of the out_size steps
+    takes a leftmost argmax along them, reading ``best`` of earlier ends only
+    (earlier blocks, or this block's previous step). A row's ends and starts
+    beyond its length only meet its own trailing zero mass, and each row's
+    arithmetic is elementwise, so every row gets the splits it would get
+    alone, bit for bit. Time about K*M^2/2 per row for K = out_size; memory
+    six T * DP_BLOCK_ROWS * (M+1) scratch planes for all blocks plus the
+    (T, K+1, M+1) ``best`` table, never an (M+1)^2 matrix. ``design_lutset``
+    sizes T so that the planes stay within DP_BUDGET_CELLS each.
     """
-    n_obs = joint.shape[1]
-    if n_obs < out_size:
-        raise LutDesignError(f"cannot split {n_obs} observations into {out_size} intervals")
-    p0 = np.concatenate([[0.0], np.cumsum(joint[0])])
-    p1 = np.concatenate([[0.0], np.cumsum(joint[1])])
-    best = np.full((out_size + 1, n_obs + 1), -np.inf)  # best[k, j]: k intervals cover [0, j)
-    best[0, 0] = 0.0
-    back = np.zeros((out_size, n_obs + 1), dtype=np.int64)
+    n_rows, _, width = joint.shape
+    lengths = np.full(n_rows, width) if lengths is None else np.asarray(lengths)
+    if lengths.min() < out_size:
+        raise LutDesignError(f"cannot split {lengths.min()} observations into {out_size} intervals")
+    p0 = np.zeros((n_rows, width + 1))
+    p1 = np.zeros((n_rows, width + 1))
+    np.cumsum(joint[:, 0], axis=1, out=p0[:, 1:])
+    np.cumsum(joint[:, 1], axis=1, out=p1[:, 1:])
+    best = np.full((n_rows, out_size + 1, width + 1), -np.inf)  # best[r, k, j]: k intervals cover [0, j)
+    best[:, 0, 0] = 0.0
+    back = np.zeros((n_rows, out_size, width + 1), dtype=np.int64)
     # every block's temporaries, each contiguous: fresh ones per block re-fault
     # their pages each time, and strided views of (rows, M+1) planes are ~35% slower
-    scratch = np.empty((6, min(DP_BLOCK_ROWS, n_obs) * (n_obs + 1)))
-    for j0 in range(1, n_obs + 1, DP_BLOCK_ROWS):
-        j1 = min(j0 + DP_BLOCK_ROWS, n_obs + 1)
+    scratch = np.empty((6, n_rows * min(DP_BLOCK_ROWS, width) * (width + 1)))
+    ends = np.arange(n_rows * min(DP_BLOCK_ROWS, width))
+    for j0 in range(1, width + 1, DP_BLOCK_ROWS):
+        j1 = min(j0 + DP_BLOCK_ROWS, width + 1)
         cost = _cost_rows(p0, p1, j0, j1, scratch)
         for k in range(out_size):
             # interval k+1 ends at j: j must leave enough room on both sides
-            lo, hi = max(j0, k + 1), min(j1, n_obs - (out_size - 1 - k) + 1)
+            lo, hi = max(j0, k + 1), min(j1, width - (out_size - 1 - k) + 1)
             if lo < hi:
-                cand = np.add(cost[lo - j0:hi - j0, k:hi], best[k, k:hi],
-                              out=scratch[5, :(hi - lo) * (hi - k)].reshape(hi - lo, hi - k))
+                n_ends, n_starts = n_rows * (hi - lo), hi - k
+                cand = scratch[5, :n_ends * n_starts].reshape(n_ends, n_starts)  # (row, end) by start
+                np.add(cost[:, lo - j0:hi - j0, k:hi], best[:, k, None, k:hi],
+                       out=cand.reshape(n_rows, hi - lo, n_starts))
                 arg = np.argmax(cand, axis=1)
-                back[k, lo:hi] = arg + k
-                best[k + 1, lo:hi] = cand[np.arange(hi - lo), arg]
-    splits = [n_obs]
+                back[:, k, lo:hi] = (arg + k).reshape(n_rows, hi - lo)
+                best[:, k + 1, lo:hi] = cand[ends[:n_ends], arg].reshape(n_rows, hi - lo)
+    rows = np.arange(n_rows)
+    splits = np.empty((n_rows, out_size - 1), dtype=np.int64)
+    end = lengths
     for k in range(out_size - 1, 0, -1):
-        splits.append(back[k, splits[-1]])
-    return np.array(splits[:0:-1], dtype=np.int64), float(best[out_size, n_obs])
+        end = splits[:, k - 1] = back[rows, k, end]
+    return splits, best[rows, out_size, lengths]
 
 
 def mi_max_quantize(joint, out_size):
@@ -202,82 +282,120 @@ def mi_max_quantize(joint, out_size):
     scores = _llrs_from_joint(joint)
     if np.any(np.diff(scores) <= 0):
         raise LutDesignError("observations must be strictly sorted by LLR")
-    splits, _ = _optimal_partition(joint, out_size)
+    (splits,), _ = _optimal_partition(joint[None], out_size)
     assignment = np.searchsorted(splits, np.arange(joint.shape[1]), side="right")
-    joint_out = _sum_by(assignment, joint, out_size)
+    joint_out = _sum_by(assignment[None], joint[None], out_size)[0]
     return splits, assignment, _llrs_from_joint(joint_out), joint_out
 
 
-def _prebin_groups(group_joint, limit):
-    """Reduce adjacent groups to at most ``limit`` mass-balanced bins."""
-    n_groups = group_joint.shape[1]
-    if limit is None or n_groups <= limit:
-        return group_joint, np.arange(n_groups)
-    mass = group_joint.sum(axis=0)
-    quantile = np.cumsum(mass) / mass.sum()
+def _prebin_groups(group_joint, lengths, limit):
+    """Reduce each row's adjacent groups to at most ``limit`` mass-balanced bins.
+
+    ``group_joint`` is (T, 2, n), row r's groups in its first lengths[r]
+    columns. Returns (binned, bin_of, n_bins): group y of row r falls in bin
+    bin_of[r, y]; rows of at most ``limit`` groups keep one bin per group."""
+    n_rows, _, width = group_joint.shape
+    keep = np.broadcast_to(np.arange(width), (n_rows, width))
+    if limit is None or lengths.max() <= limit:
+        return group_joint, keep, lengths
+    mass = group_joint.sum(axis=1)
+    # pairwise sums over each row's own groups: trailing zeros would change the rounding
+    total = np.array([row[:n].sum() for row, n in zip(mass, lengths)])
+    quantile = np.cumsum(mass, axis=1) / total[:, None]
     bin_of = np.minimum((quantile * limit).astype(np.int64), limit - 1)
     # ensure bins stay nonempty and monotone
-    bin_of = np.maximum.accumulate(bin_of)
-    first = np.ones(n_groups, dtype=bool)
-    first[1:] = bin_of[1:] != bin_of[:-1]
-    bin_of = np.cumsum(first) - 1
-    return _sum_by(bin_of, group_joint, bin_of[-1] + 1), bin_of
+    bin_of = np.maximum.accumulate(bin_of, axis=1)
+    first = np.ones(bin_of.shape, dtype=bool)
+    first[:, 1:] = bin_of[:, 1:] != bin_of[:, :-1]
+    # a row kept whole puts its padding in its last group, which adds zero mass there
+    bin_of = np.where((lengths > limit)[:, None], np.cumsum(first, axis=1) - 1,
+                      np.minimum(keep, (lengths - 1)[:, None]))
+    n_bins = bin_of[np.arange(n_rows), lengths - 1] + 1
+    return _sum_by(bin_of, group_joint, n_bins.max()), bin_of, n_bins
+
+
+def _positive_groups(scores, joint):
+    """Sort and tie-merge each row of ``scores`` (T, n), check that its score
+    space is symmetric, and gather the strictly positive groups' masses.
+
+    Returns (order, group_of, n_pos, n_zero, right): the stable sort order,
+    each sorted observation's group, the counts of positive groups (as many
+    as negative ones) and of zero-score groups (0 or 1), and the (T, 2, P)
+    masses of each row's positive groups, padded with zero mass to the
+    widest row. The merged scores and masses are freed on return, before the
+    quantizer DP allocates its scratch.
+    """
+    order = np.argsort(scores, axis=1, kind="stable")
+    g_scores, g_joint, group_of, n_groups = _merge_sorted(
+        np.take_along_axis(scores, order, axis=1), np.take_along_axis(joint, order[:, None], axis=2))
+    idx = np.arange(g_scores.shape[1])
+    n_neg = np.count_nonzero(g_scores < 0, axis=1)
+    n_zero = np.count_nonzero((g_scores == 0) & (idx < n_groups[:, None]), axis=1)
+    mirror = np.take_along_axis(g_scores, np.maximum(n_groups[:, None] - 1 - idx, 0), axis=1)
+    if np.any(2 * n_neg + n_zero != n_groups) \
+            or not np.all((g_scores == -mirror) | (idx >= n_neg[:, None])):
+        raise LutDesignError("score space is not symmetric")
+    pos = np.arange(n_neg.max())
+    first_pos = np.minimum((n_neg + n_zero)[:, None] + pos, g_scores.shape[1] - 1)
+    right = np.take_along_axis(g_joint, first_pos[:, None], axis=2)
+    right *= (pos < n_neg[:, None])[:, None]  # zero mass past each row's groups
+    return order, group_of, n_neg, n_zero, right
 
 
 def _design_symmetric(scores, joint, out_size, zero_upper=None, max_groups=MAX_DESIGN_GROUPS):
-    """Quantize a symmetric score space into an odd-symmetric alphabet.
+    """Quantize T symmetric score spaces at once into odd-symmetric alphabets.
 
-    Observations are sorted by score and tie-merged; boundaries are designed
-    on the nonnegative half and mirrored. Zero-score observations (possible
-    for g updates) map to one of the two middle levels according to
-    ``zero_upper`` so that mirror pairs split evenly.
+    ``scores`` is (T, n) and ``joint`` (T, 2, n), one table per row. Each
+    row's observations are sorted by score and tie-merged; boundaries are
+    designed on the nonnegative half and mirrored. Zero-score observations
+    (possible for g updates) map to one of the two middle levels according to
+    ``zero_upper`` (n,) so that mirror pairs split evenly. Rows with fewer
+    positive groups are padded with zero mass for the one quantizer DP.
 
-    Returns (level_of_obs, MessageDist).
+    Returns (level_of_obs (T, n), [MessageDist] * T).
     """
     scores = np.asarray(scores, dtype=np.float64)
     joint = np.asarray(joint, dtype=np.float64)
+    n_rows, n_obs = scores.shape
     half_out = out_size // 2
-    order = np.argsort(scores, kind="stable")
-    g_scores, g_joint, group_of = merge_equal_llrs(scores[order], joint[:, order])
-
-    n_neg = int(np.searchsorted(g_scores, 0.0, side="left"))
-    n_zero = int(np.searchsorted(g_scores, 0.0, side="right")) - n_neg
-    n_pos = g_scores.size - n_neg - n_zero
-    if n_neg != n_pos or not np.array_equal(g_scores[:n_neg], -g_scores[::-1][:n_pos]):
-        raise LutDesignError("score space is not symmetric")
-
     # Boundaries are placed among the strictly positive groups. Zero-score
     # mass is uninformative; it is pinned to the two middle levels afterwards,
     # which keeps every level's aggregate LLR strictly away from its
     # neighbours'.
-    right = g_joint[:, n_neg + n_zero:]
-    binned, bin_of = _prebin_groups(right, max_groups)
-    if binned.shape[1] < half_out:
+    order, group_of, n_pos, n_zero, right = _positive_groups(scores, joint)
+    binned, bin_of, n_bins = _prebin_groups(right, n_pos, max_groups)
+    if n_bins.min() < half_out:
         raise LutDesignError("not enough distinct score levels for the alphabet")
-    splits, _ = _optimal_partition(binned, half_out)
-    interval_of_right = np.searchsorted(splits, np.arange(binned.shape[1]), side="right")[bin_of]
+    splits, _ = _optimal_partition(binned, half_out, n_bins)
+    # searchsorted(splits, bin, side="right") of each row
+    interval = np.count_nonzero(np.arange(binned.shape[2])[:, None] >= splits[:, None, :], axis=2)
+    pos_levels = half_out + np.take_along_axis(interval, bin_of, axis=1)
 
-    level_of_group = np.empty(g_scores.size, dtype=np.int64)
-    pos_levels = half_out + interval_of_right
-    level_of_group[n_neg + n_zero:] = pos_levels
-    level_of_group[:n_neg] = out_size - 1 - pos_levels[::-1]
-    level_sorted = level_of_group[group_of]
-    if n_zero:  # the single merged zero group, left unset above, splits by side
+    # a negative group takes the mirror level of its mirror positive group
+    group = np.arange(2 * n_pos.max() + 1)
+    first_pos = (n_pos + n_zero)[:, None]
+    mirror_pos = np.where(group >= first_pos, group - first_pos, (n_pos - 1)[:, None] - group)
+    level_of_group = np.take_along_axis(pos_levels, np.clip(mirror_pos, 0, right.shape[2] - 1), axis=1)
+    level_of_group = np.where(group < n_pos[:, None], out_size - 1 - level_of_group, level_of_group)
+    level_sorted = np.take_along_axis(level_of_group, group_of, axis=1)
+    zero_sorted = (group_of == n_pos[:, None]) & (n_zero > 0)[:, None]
+    if zero_sorted.any():  # the single merged zero group of a row splits by side
         if zero_upper is None:
             raise LutDesignError("zero-score observations need a side rule")
         upper_sorted = np.asarray(zero_upper, dtype=bool)[order]
-        level_sorted = np.where(group_of == n_neg, np.where(upper_sorted, half_out, half_out - 1),
+        level_sorted = np.where(zero_sorted, np.where(upper_sorted, half_out, half_out - 1),
                                 level_sorted)
-    level_of_obs = np.empty(scores.size, dtype=np.int64)
-    level_of_obs[order] = level_sorted
-    return level_of_obs, _output_dist(level_of_obs, joint, out_size)
+    level_of_obs = np.empty((n_rows, n_obs), dtype=np.int64)
+    np.put_along_axis(level_of_obs, order, level_sorted, axis=1)
+    return level_of_obs, _output_dists(level_of_obs, joint, out_size)
 
 
-def _output_dist(level_of_obs, joint, out_size) -> MessageDist:
-    """Distribution of the messages that ``level_of_obs`` gives the observations."""
+def _output_dists(level_of_obs, joint, out_size):
+    """Per row, the distribution of the messages that ``level_of_obs`` gives the
+    observations; each alphabet is checked as it is built."""
     joint_out = _sum_by(level_of_obs, joint, out_size)
-    alphabet = MessageAlphabet(symmetrize_llrs(_llrs_from_joint(joint_out)))
-    return MessageDist(alphabet, joint_out)
+    llrs = symmetrize_llrs(_llrs_from_joint(joint_out))
+    return [MessageDist(MessageAlphabet(llr), p) for llr, p in zip(llrs, joint_out)]
 
 
 def quantize_channel(design_ebn0_db, rate, w):
@@ -293,7 +411,7 @@ def quantize_channel(design_ebn0_db, rate, w):
         raise LutDesignError("rate must be in (0, 1]")
     if CHANNEL_GRID_CELLS < 4 * (1 << w):
         raise LutDesignError("grid too coarse for the alphabet")
-    sigma2 = 1.0 / (2.0 * rate * 10.0 ** (design_ebn0_db / 10.0))
+    sigma2 = noise_variance(design_ebn0_db, rate)
     sigma = float(np.sqrt(sigma2))
 
     span = 1.0 + 6.0 * sigma
@@ -308,7 +426,7 @@ def quantize_channel(design_ebn0_db, rate, w):
     # as the cell-mass posterior, exactly antisymmetric, and free of ties even
     # where far-tail cell masses underflow.
     centers = (edges[:-1] + edges[1:]) / (2.0 * sigma2) * 2.0
-    level_of_obs, dist = _design_symmetric(centers, joint, 1 << w, max_groups=None)
+    (level_of_obs,), (dist,) = _design_symmetric(centers[None], joint[None], 1 << w, max_groups=None)
     steps = np.diff(level_of_obs)
     if np.any(steps < 0):
         raise LutDesignError("channel quantizer mapping is not monotone")
@@ -316,66 +434,78 @@ def quantize_channel(design_ebn0_db, rate, w):
     return edges[1:-1][steps > 0], dist
 
 
+def _stack(dists):
+    """(T, size) translation LLRs and (T, 2, size) joints of parent distributions
+    of one alphabet size."""
+    return (np.stack([d.alphabet.llr_table for d in dists]), np.stack([d.joint for d in dists]))
+
+
 def _f_pair_joint(p):
-    """p(x, t1, t2) as (2, size^2): x is the XOR of two branch bits, each with joint p."""
+    """p(x, t1, t2) as (T, 2, size^2) for each row of p (T, 2, size): x is the
+    XOR of two branch bits, each with joint p[r]."""
+    a, b = p[:, 0], p[:, 1]
     return np.stack([
-        p[0][:, None] * p[0][None, :] + p[1][:, None] * p[1][None, :],
-        p[0][:, None] * p[1][None, :] + p[1][:, None] * p[0][None, :],
-    ]).reshape(2, -1)
+        a[:, :, None] * a[:, None, :] + b[:, :, None] * b[:, None, :],
+        a[:, :, None] * b[:, None, :] + b[:, :, None] * a[:, None, :],
+    ], axis=1).reshape(p.shape[0], 2, -1)
 
 
-def build_f_table(dist: MessageDist):
-    """Decoding table for an upper-branch (f) update of two messages t1, t2
-    that follow the parent ``dist``; the output keeps its alphabet size.
+def build_f_table(dists):
+    """Decoding tables for upper-branch (f) updates, one per parent distribution
+    in ``dists`` (one alphabet size), designed together: the two messages t1,
+    t2 of an update follow its parent; the output keeps the alphabet size.
 
     The relevant bit is the XOR of the two branch bits; the pair is scored
-    with the exact box-plus on the translation LLRs. Returns (mapping,
-    MessageDist), mapping[t1, t2] = t_out.
+    with the exact box-plus on the translation LLRs. Returns (mappings,
+    [MessageDist]), mappings[r, t1, t2] = t_out for parent r.
     """
-    llr = dist.alphabet.llr_table
-    size = llr.size
+    llr, p = _stack(dists)
+    size = llr.shape[1]
     # unclipped scores: these are sort keys, and clipping would alias
     # distinct levels once deep distributions saturate; below ~1e-8 the
     # box-plus of two LLRs can cancel to 0 in float: those take t1's side
-    scores = f_exact(llr[:, None], llr[None, :], clip=np.inf)
-    t1_upper = np.broadcast_to((np.arange(size) >= size // 2)[:, None], scores.shape)
-    level_of_obs, out = _design_symmetric(scores.ravel(), _f_pair_joint(dist.joint), size,
-                                          zero_upper=t1_upper.ravel())
-    return level_of_obs.reshape(size, size).astype(np.int16), out
+    scores = f_exact(llr[:, :, None], llr[:, None, :], clip=np.inf)
+    t1_upper = np.broadcast_to((np.arange(size) >= size // 2)[:, None], (size, size))
+    level_of_obs, outs = _design_symmetric(scores.reshape(len(llr), -1), _f_pair_joint(p), size,
+                                           zero_upper=t1_upper.ravel())
+    return level_of_obs.reshape(-1, size, size).astype(np.int16), outs
 
 
-def _msib_f_dist(dist: MessageDist) -> MessageDist:
-    """Output of an MSIB f update on ``dist``: min-sum scores take exactly 2^w
+def _msib_f_dist(dists):
+    """Outputs of MSIB f updates on ``dists``: min-sum scores take exactly 2^w
     values, one level each, so the designed mapping is the index rule."""
-    size = dist.alphabet.size
+    _, p = _stack(dists)
+    size = p.shape[2]
     idx = np.arange(size)
     level_of_obs = msib_f_index(idx[:, None], idx[None, :], size).ravel()
-    return _output_dist(level_of_obs, _f_pair_joint(dist.joint), size)
+    return _output_dists(np.broadcast_to(level_of_obs, (len(p), size * size)), _f_pair_joint(p), size)
 
 
-def build_g_table(dist: MessageDist):
-    """Decoding table for a lower-branch (g) update of two messages t1, t2
-    that follow the parent ``dist``; the output keeps its alphabet size.
+def build_g_table(dists):
+    """Decoding tables for lower-branch (g) updates, one per parent distribution
+    in ``dists`` (one alphabet size), designed together: the two messages t1,
+    t2 of an update follow its parent; the output keeps the alphabet size.
 
     The relevant bit is the lower-branch bit; the upper-branch bit b is
     assumed correctly fed back at design time. The observation (t1, t2, b) is
     scored with (-1)^b * L(t1) + L(t2), which is exact (no min-sum
-    counterpart). Returns (mapping, MessageDist), mapping[t1, t2, b] = t_out.
+    counterpart). Returns (mappings, [MessageDist]), mappings[r, t1, t2, b]
+    = t_out for parent r.
     """
-    llr, p = dist.alphabet.llr_table, dist.joint
-    size = llr.size
+    llr, p = _stack(dists)
+    n_rows, size = llr.shape
     # p(x, t1, t2, b) = p[b ^ x, t1] * p[x, t2]
-    joint = np.empty((2, size, size, 2))
+    joint = np.empty((n_rows, 2, size, size, 2))
     for x in (0, 1):
         for b in (0, 1):
-            joint[x, :, :, b] = p[b ^ x][:, None] * p[x][None, :]
-    scores = np.empty((size, size, 2))
-    scores[:, :, 0] = llr[:, None] + llr[None, :]
-    scores[:, :, 1] = -llr[:, None] + llr[None, :]
-    t1_upper = np.broadcast_to((np.arange(size) >= size // 2)[:, None, None], scores.shape)
-    level_of_obs, out = _design_symmetric(scores.ravel(), joint.reshape(2, -1), size,
-                                          zero_upper=t1_upper.ravel())
-    return level_of_obs.reshape(size, size, 2).astype(np.int16), out
+            joint[:, x, :, :, b] = p[:, b ^ x, :, None] * p[:, x, None, :]
+    scores = np.empty((n_rows, size, size, 2))
+    scores[..., 0] = llr[:, :, None] + llr[:, None, :]
+    scores[..., 1] = -llr[:, :, None] + llr[:, None, :]
+    t1_upper = np.broadcast_to((np.arange(size) >= size // 2)[:, None, None], (size, size, 2))
+    level_of_obs, outs = _design_symmetric(scores.reshape(n_rows, -1), joint.reshape(n_rows, 2, -1),
+                                           size, zero_upper=t1_upper.ravel())
+    return level_of_obs.reshape(-1, size, size, 2).astype(np.int16), outs
 
 
 def msib_f_index(t1, t2, alphabet_size: int):
@@ -421,6 +551,16 @@ class LutSet:
         return len(self.decoding_tables) + (self.variant == "msib"), len(self.translation_tables)
 
 
+def _batch_cap(size):
+    """Tables of alphabet size ``size`` per design batch: as many as keep the
+    quantizer DP's scratch planes within DP_BUDGET_CELLS each. A g table has
+    at most size^2/4 positive score groups, the unordered pairs {t1, t2} with
+    L(t1) + L(t2) > 0 (every g score is such a sum, as -L(t) = L(mirror of t)),
+    and at most MAX_DESIGN_GROUPS after pre-binning; an f table has fewer."""
+    groups = min(size * size // 4, MAX_DESIGN_GROUPS)
+    return max(1, DP_BUDGET_CELLS // (min(DP_BLOCK_ROWS, groups) * (groups + 1)))
+
+
 def design_lutset(code: PolarCode, tree: DecoderTree, variant: str,
                   design_ebn0_db: float, w: int) -> LutSet:
     """Evolve the channel distribution down the pruned tree and emit tables.
@@ -430,11 +570,37 @@ def design_lutset(code: PolarCode, tree: DecoderTree, variant: str,
     MSIB f-edge stores no table: its mapping is the index rule, which gives
     its output distribution directly. The distribution arriving at each leaf
     provides that leaf's translation table.
+
+    The tree is walked one depth at a time: the inner nodes of a depth are
+    split into as few equal batches as ``_batch_cap`` allows, and each batch
+    is one ``build_g_table`` call (and one ``build_f_table`` or
+    ``_msib_f_dist`` call), so the cost follows the depth count, not the
+    table count. Each table comes out as it would alone, bit for bit.
     """
     if variant not in ("ib", "msib"):
         raise LutDesignError(f"unknown variant {variant!r}")
     thresholds, channel = quantize_channel(design_ebn0_db, code.rate, w)
-    lutset = LutSet(
+    decoding, translation = {}, {}
+    cap = _batch_cap(channel.alphabet.size)
+    level = [(tree.root, channel)]
+    while level:
+        inner = [(node, dist) for node, dist in level if not node.is_leaf]
+        translation.update((node.leaf_id, dist.alphabet.llr_table)
+                           for node, dist in level if node.is_leaf)
+        level = []
+        n_batches = -(-len(inner) // cap)
+        for i in range(n_batches):
+            nodes, dists = zip(*inner[i * len(inner) // n_batches:(i + 1) * len(inner) // n_batches])
+            if variant == "ib":
+                f_maps, f_dists = build_f_table(dists)
+                decoding.update(zip((node.f_edge_id for node in nodes), f_maps))
+            else:
+                f_dists = _msib_f_dist(dists)
+            g_maps, g_dists = build_g_table(dists)
+            decoding.update(zip((node.g_edge_id for node in nodes), g_maps))
+            level += [*zip((node.left for node in nodes), f_dists),
+                      *zip((node.right for node in nodes), g_dists)]
+    return LutSet(
         block_len=code.block_len,
         payload_len=code.payload_len,
         crc_len=code.crc_len,
@@ -443,23 +609,10 @@ def design_lutset(code: PolarCode, tree: DecoderTree, variant: str,
         design_ebn0_db=float(design_ebn0_db),
         schedule_hash=tree.schedule_hash(),
         channel_thresholds=thresholds,
+        # in id order, which is activation order
+        decoding_tables=dict(sorted(decoding.items())),
+        translation_tables=dict(sorted(translation.items())),
     )
-
-    def rec(node, dist):
-        if node.is_leaf:
-            lutset.translation_tables[node.leaf_id] = dist.alphabet.llr_table
-            return
-        if variant == "ib":
-            lutset.decoding_tables[node.f_edge_id], f_dist = build_f_table(dist)
-        else:
-            f_dist = _msib_f_dist(dist)
-        rec(node.left, f_dist)
-        g_map, g_dist = build_g_table(dist)
-        lutset.decoding_tables[node.g_edge_id] = g_map
-        rec(node.right, g_dist)
-
-    rec(tree.root, channel)
-    return lutset
 
 
 def save_lutset(lutset: LutSet, path):
@@ -555,13 +708,20 @@ def load_lutset(path) -> LutSet:
         if alphabet.size != size:
             raise LutDesignError(f"translation table {key}: {alphabet.size} LLRs, w={w} needs {size}")
         translation[table_id] = alphabet.llr_table
+    raw_ebn0 = _field(doc, "design_ebn0_db", int, float)
+    try:
+        design_ebn0_db = float(raw_ebn0)
+    except OverflowError:  # a JSON integer beyond any float
+        design_ebn0_db = np.inf
+    if not np.isfinite(design_ebn0_db):  # json reads NaN and Infinity too
+        raise LutDesignError(f"'design_ebn0_db' must be a finite number, got {raw_ebn0!r}")
     return LutSet(
         block_len=_field(doc, "block_len", int),
         payload_len=_field(doc, "payload_len", int),
         crc_len=_field(doc, "crc_len", int),
         variant=variant,
         w=w,
-        design_ebn0_db=float(_field(doc, "design_ebn0_db", int, float)),
+        design_ebn0_db=design_ebn0_db,
         schedule_hash=_field(doc, "schedule_hash", str),
         channel_thresholds=np.array(thresholds, dtype=np.float64),
         decoding_tables=decoding,

@@ -20,7 +20,7 @@ import numpy as np
 from .codes import CrcConfig, PolarCode, assemble_u, construct, encode, load_sequence
 from .listdec import ListConfig, ListEngine, ca_select
 from .lutdec import quantize_rx
-from .lutdesign import LutSet
+from .lutdesign import LutSet, noise_variance
 from .tree import build_tree, parse_kinds, schedule_text
 
 BATCH_FRAMES = 256  # frames per worker job; run_point checks its stop rule between jobs
@@ -28,7 +28,7 @@ BATCH_FRAMES = 256  # frames per worker job; run_point checks its stop rule betw
 
 @dataclass(frozen=True)
 class ChannelModel:
-    """BPSK over AWGN: bit 0 maps to +1, noise variance 1/(2 R 10^(EbN0/10))."""
+    """BPSK over AWGN: bit 0 maps to +1, noise variance ``noise_variance``."""
 
     ebn0_db: float
     rate: float
@@ -36,12 +36,11 @@ class ChannelModel:
     def __post_init__(self):
         if not 0 < self.rate <= 1:
             raise ValueError("rate must be in (0, 1]")
-        if not np.isfinite(self.ebn0_db):
-            raise ValueError(f"Eb/N0 must be finite, got {self.ebn0_db!r} dB")
+        noise_variance(self.ebn0_db, self.rate)  # a point without one fails before any frame
 
     @property
     def sigma(self) -> float:
-        return float(np.sqrt(1.0 / (2.0 * self.rate * 10.0 ** (self.ebn0_db / 10.0))))
+        return float(np.sqrt(noise_variance(self.ebn0_db, self.rate)))
 
 
 @dataclass(frozen=True)

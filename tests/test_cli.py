@@ -162,6 +162,39 @@ def test_simulate_refuses_non_finite_ebn0_before_any_frame(capsys, tmp_path, mon
     assert frames == []
 
 
+NO_VARIANCE = "gives no finite positive noise variance"
+
+
+@pytest.mark.parametrize("ebn0,reason", [
+    ("4000", f"Eb/N0 4000.0 dB {NO_VARIANCE}"),    # 10^400 overflows a float
+    ("-3300", f"Eb/N0 -3300.0 dB {NO_VARIANCE}"),  # 10^-330 is 0
+    ("-3100", f"Eb/N0 -3100.0 dB {NO_VARIANCE}"),  # the variance is inf
+    ("inf", "Eb/N0 must be finite, got inf dB"),
+    ("nan", "Eb/N0 must be finite, got nan dB"),
+])
+def test_ebn0_without_noise_variance_exits_2(capsys, tmp_path, monkeypatch, ebn0, reason):
+    # with the reason, not a traceback, a numpy warning or an unrelated design
+    # error; simulate at inf and nan is covered by the test above
+    import fapolar.sim as sim
+
+    lut_file = tmp_path / "lut.json"
+    run_cli(capsys, "design", "--n", "32", "--k", "12", "--crc", "4",
+            "--variant", "msib", "--ebn0", "1.0", "--w", "3", "--out", str(lut_file))
+    frames = []
+    monkeypatch.setattr(sim, "run_frames", lambda *args: frames.append(args) or 0)
+    runs = [("design", "--n", "32", "--k", "12", "--crc", "4", "--variant", "ib",
+             f"--ebn0={ebn0}", "--out", str(tmp_path / "never.json"))]
+    if NO_VARIANCE in reason:
+        runs += [("simulate", *family, f"--ebn0-list={ebn0}", "--max-frames", "16")
+                 for family in (("--n", "32", "--k", "12", "--crc", "4"), ("--lut", str(lut_file)))]
+    for argv in runs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run_cli(capsys, *argv)
+        assert rc == 2 and reason in err and out == "", argv
+    assert frames == [] and not (tmp_path / "never.json").exists()
+
+
 def test_simulate_refuses_bad_run_options_without_points(capsys):
     # checked even when no point runs, so none of them reaches the record
     for extra, message in ((("--seed", "-1"), "seed must be a non-negative integer, got -1"),

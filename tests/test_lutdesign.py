@@ -11,6 +11,7 @@ import pytest
 from scipy.special import ndtr
 
 import fapolar as fp
+from fapolar import lutdesign
 from fapolar.arith import f_exact, f_minsum
 from fapolar.lutdesign import (
     LutDesignError,
@@ -237,6 +238,18 @@ CHANNEL_DIGESTS = {
 }
 
 
+@pytest.mark.parametrize("ebn0_db,message", [
+    (4000.0, "Eb/N0 4000.0 dB gives no finite positive noise variance"),    # 10^400 overflows
+    (-3300.0, "Eb/N0 -3300.0 dB gives no finite positive noise variance"),  # 10^-330 is 0
+    (-3100.0, "Eb/N0 -3100.0 dB gives no finite positive noise variance"),  # the variance is inf
+    (np.inf, "Eb/N0 must be finite, got inf dB"),
+    (np.nan, "Eb/N0 must be finite, got nan dB"),
+])
+def test_channel_quantizer_refuses_ebn0_without_noise_variance(ebn0_db, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        quantize_channel(ebn0_db, 0.5, W4)
+
+
 @pytest.mark.parametrize("ebn0_db,rate,w", CHANNEL_DIGESTS)
 def test_channel_quantizer_bytes_pinned(ebn0_db, rate, w):
     thresholds, dist = quantize_channel(ebn0_db, rate, w)
@@ -249,10 +262,10 @@ def test_channel_quantizer_bytes_pinned(ebn0_db, rate, w):
 
 def test_f_table_symmetric_output_and_mi_bound(channel4):
     _, dist = channel4
-    mapping, out = build_f_table(dist)
+    (mapping,), (out,) = build_f_table([dist])
     assert mapping.shape == (SIZE4, SIZE4)
     assert set(np.unique(mapping)) == set(range(SIZE4))  # every level used
-    for out in (out, _msib_f_dist(dist)):
+    for out in (out, *_msib_f_dist([dist])):
         llr = out.alphabet.llr_table
         assert np.array_equal(llr, -llr[::-1])
         assert mutual_information(out.joint) <= mutual_information(dist.joint) + 1e-12
@@ -265,7 +278,7 @@ def test_f_table_places_zero_box_plus_scores():
     llr = np.array([-2.0, -1e-9, 1e-9, 2.0])
     assert f_exact(llr[1], llr[1], clip=np.inf) == 0.0
     p0 = np.array([0.025, 0.1, 0.125, 0.25])
-    mapping, out = build_f_table(MessageDist(MessageAlphabet(llr), np.stack([p0, p0[::-1]])))
+    (mapping,), (out,) = build_f_table([MessageDist(MessageAlphabet(llr), np.stack([p0, p0[::-1]]))])
     assert mapping.tolist() == [[3, 2, 1, 0], [2, 1, 1, 1], [1, 2, 2, 2], [0, 1, 2, 3]]
     assert np.array_equal(out.alphabet.llr_table, -out.alphabet.llr_table[::-1])
 
@@ -281,8 +294,8 @@ def minsum_designed_f(dist):
     ])
     scores = f_minsum(llr[:, None], llr[None, :])
     t1_upper = np.broadcast_to((np.arange(size) >= size // 2)[:, None], scores.shape)
-    level_of_obs, out = _design_symmetric(
-        scores.ravel(), joint.reshape(2, -1), size, zero_upper=t1_upper.ravel()
+    (level_of_obs,), (out,) = _design_symmetric(
+        scores.reshape(1, -1), joint.reshape(1, 2, -1), size, zero_upper=t1_upper.ravel()
     )
     return level_of_obs.reshape(size, size), out
 
@@ -299,16 +312,16 @@ def test_f_table_minsum_equals_index_rule():
             for dist in frontier:
                 mapping, designed = minsum_designed_f(dist)
                 assert np.array_equal(mapping, msib_f_index(t1, t2, size))
-                shortcut = _msib_f_dist(dist)
+                (shortcut,) = _msib_f_dist([dist])
                 assert shortcut.joint.tobytes() == designed.joint.tobytes()
                 assert shortcut.alphabet.llr_table.tobytes() == designed.alphabet.llr_table.tobytes()
-                deeper += [designed, build_g_table(dist)[1]]
+                deeper += [designed, *build_g_table([dist])[1]]
             frontier = deeper
 
 
 def test_g_table_covers_full_domain_and_gains_information(channel4):
     _, dist = channel4
-    mapping, out = build_g_table(dist)
+    (mapping,), (out,) = build_g_table([dist])
     assert mapping.shape == (SIZE4, SIZE4, 2)
     assert mapping.size == 2 ** (2 * W4 + 1)
     # unquantized g observation: (t1, t2, b) kept distinct
@@ -422,9 +435,9 @@ def test_design_evolution_respects_data_processing():
         if node.is_leaf:
             return
         parent_mi = mutual_information(dist.joint)
-        _, f_out = build_f_table(dist)
+        _, (f_out,) = build_f_table([dist])
         assert mutual_information(f_out.joint) <= parent_mi + 1e-12
-        _, g_out = build_g_table(dist)
+        _, (g_out,) = build_g_table([dist])
         assert mutual_information(g_out.joint) >= parent_mi - 1e-12
         assert 0.0 <= mutual_information(f_out.joint) <= 1.0
         assert 0.0 <= mutual_information(g_out.joint) <= 1.0
@@ -461,6 +474,31 @@ def test_fast_design_is_restriction_of_sc_design():
         sc_tables = by_span(sc, sc_set)
         for key, table in by_span(fast_tree, fast_set).items():
             assert np.array_equal(table, sc_tables[key])
+
+
+def test_design_builds_g_tables_once_per_depth_batch(monkeypatch):
+    # the tree is designed one depth at a time: each depth's g edges are split
+    # into as few equal batches as the scratch budget allows, one call each
+    code = fp.construct(1024, 512, 16)
+    tree = fp.build_tree(code)
+    inner_per_depth = []
+    inner = [tree.root]
+    while inner:
+        inner_per_depth.append(len(inner))
+        inner = [child for node in inner for child in (node.left, node.right) if not child.is_leaf]
+    cap = lutdesign._batch_cap(SIZE4)
+    expected = []
+    for count in inner_per_depth:
+        n_batches = -(-count // cap)
+        expected += [count * (i + 1) // n_batches - count * i // n_batches for i in range(n_batches)]
+    batches = []
+    build = lutdesign.build_g_table
+    monkeypatch.setattr(lutdesign, "build_g_table",
+                        lambda dists: batches.append(len(dists)) or build(dists))
+    lutset = design_lutset(code, tree, "msib", 2.0, W4)
+    assert sum(batches) == len(lutset.decoding_tables) == 85
+    assert batches == expected
+    assert len(batches) <= 2 * len(inner_per_depth) < 85
 
 
 def test_lutset_roundtrip_bit_exact(tmp_path, code8):
@@ -623,6 +661,9 @@ def set_decoding_table(value):
     (drop_key("decoding_tables"), "missing key"),
     (set_key("block_len", "8"), "must be int"),
     (set_key("design_ebn0_db", None), "must be int or float"),
+    (set_key("design_ebn0_db", float("nan")), "must be a finite number, got nan"),  # json reads NaN
+    (set_key("design_ebn0_db", float("inf")), "must be a finite number, got inf"),  # and Infinity
+    (set_key("design_ebn0_db", -10 ** 400), "must be a finite number"),  # no float holds it
     (set_key("translation_tables", []), "must be dict"),
     (set_key("variant", "xyz"), "'ib' or 'msib'"),
     (set_key("channel_thresholds", lambda doc: doc["channel_thresholds"][::-1]),
@@ -637,7 +678,7 @@ def set_decoding_table(value):
         "decoding-entry-list", "decoding-id-word", "decoding-id-leading-zero",
         "translation-id-negative",
         "missing-schedule-hash", "missing-decoding-tables", "block-len-string",
-        "ebn0-null", "translation-tables-list", "variant-unknown", "thresholds-unsorted",
+        "ebn0-null", "ebn0-nan", "ebn0-infinity", "ebn0-huge-int", "translation-tables-list", "variant-unknown", "thresholds-unsorted",
         "thresholds-short", "thresholds-infinite", "thresholds-ints"])
 def test_load_rejects_invalid_tables(tmp_path, lut_doc, edit, message):
     doc = json.loads(json.dumps(lut_doc))

@@ -2,10 +2,12 @@
 reference walk of the same tree, the rate-1/SPC constituent decoders against
 their split-by-split form, the arithmetic kernels' in-place forms against
 their allocating forms and against the formulas they replaced, the blocked
-quantizer DP against the full-matrix DP, and the CRC generator product against
+quantizer DP against the full-matrix DP, tables designed in one batch against
+the same tables designed one at a time, and the CRC generator product against
 the per-bit register loop. Examples are derandomized (see conftest)."""
 
 import dataclasses
+import re
 from unittest import mock
 
 import numpy as np
@@ -417,7 +419,7 @@ def test_blocked_dp_equals_matrix_dp_bit_for_bit(rows, data):
     n_obs = joint.shape[1]
     with mock.patch.object(lutdesign, "DP_BLOCK_ROWS", rows):
         for out_size in range(1, n_obs + 1):
-            splits, value = lutdesign._optimal_partition(joint, out_size)
+            (splits,), (value,) = lutdesign._optimal_partition(joint[None], out_size)
             ref_splits, ref_value = matrix_partition(joint, out_size)
             assert same_bits(splits, ref_splits)
             assert same_bits(np.float64(value), np.float64(ref_value))
@@ -439,6 +441,73 @@ def test_mi_max_quantize_equals_matrix_form_bit_for_bit(rows, data):
             got = lutdesign.mi_max_quantize(joint, out_size)
             for x, y in zip(got, matrix_quantize(joint, out_size)):
                 assert same_bits(x, y)
+
+
+# ---------------------------------------------------------------------------
+# tables designed in one batch vs the same tables designed one at a time
+
+@st.composite
+def parent_dists(draw, w, kind=None):
+    """A parent MessageDist at alphabet size 2^w. Its odd-symmetric LLRs are
+    halves of small integers ("grid": many tied g and f scores, few positive
+    groups), spread floats ("float": few ties, many groups; past 512 positive
+    g groups at w=6, so pre-binned), or floats whose weakest level is 1e-9
+    ("tiny": that level's box-plus with itself cancels to a zero f score).
+    Every g space has zero scores, L(t) - L(t)."""
+    half = 1 << (w - 1)
+    kind = kind or draw(st.sampled_from(["grid", "float", "tiny"]))
+    if kind == "grid":
+        mags = np.array(sorted(draw(st.sets(st.integers(1, 4 * half), min_size=half,
+                                            max_size=half)))) / 2.0
+    else:
+        mags = np.sort(draw(st.lists(st.floats(0.01, 20.0), min_size=half, max_size=half,
+                                     unique=True)))
+        if kind == "tiny":
+            mags[0] = 1e-9
+    llr = np.concatenate([-mags[::-1], mags])
+    # p(x, t) = q(t) e^(+-L(t)/2): the masses' LLRs are the alphabet's, with q(t) even
+    q_half = draw(hnp.arrays(np.float64, half, elements=st.floats(1e-3, 1.0)))
+    q = np.concatenate([q_half[::-1], q_half])
+    joint = np.stack([q * np.exp(llr / 2), q * np.exp(-llr / 2)])
+    return lutdesign.MessageDist(lutdesign.MessageAlphabet(llr), joint / joint.sum())
+
+
+def check_batch_equals_singles(build, w, data):
+    # a grid row and a float row differ in positive-group count, so the batch is padded
+    rows = [data.draw(parent_dists(w, "grid")), data.draw(parent_dists(w, "float"))]
+    rows += data.draw(st.lists(parent_dists(w), max_size=2))
+    dists = data.draw(st.permutations(rows))
+    try:
+        singles = [build([dist]) for dist in dists]
+    except lutdesign.LutDesignError as err:
+        with pytest.raises(lutdesign.LutDesignError, match=re.escape(str(err))):
+            build(dists)
+        return
+    maps, outs = build(dists)
+    assert len(maps) == len(outs) == len(dists)
+    for ((one_map,), (one_out,)), batch_map, batch_out in zip(singles, maps, outs):
+        assert same_bits(batch_map, one_map)
+        assert same_bits(batch_out.joint, one_out.joint)
+        assert same_bits(batch_out.alphabet.llr_table, one_out.alphabet.llr_table)
+
+
+TABLE_BUILDERS = pytest.mark.parametrize(
+    "build", [lutdesign.build_f_table, lutdesign.build_g_table], ids=["f", "g"])
+
+
+@pytest.mark.parametrize("w", [2, 4])
+@TABLE_BUILDERS
+@settings(max_examples=30)
+@given(data=st.data())
+def test_batched_tables_equal_batches_of_one(w, build, data):
+    check_batch_equals_singles(build, w, data)
+
+
+@TABLE_BUILDERS
+@settings(max_examples=4)  # w=6 tables take ~0.1 s each
+@given(data=st.data())
+def test_batched_prebinned_tables_equal_batches_of_one(build, data):
+    check_batch_equals_singles(build, 6, data)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -27,6 +28,23 @@ def test_channel_sigma_definition():
     for ebn0 in (float("inf"), float("-inf"), float("nan")):
         with pytest.raises(ValueError, match="Eb/N0 must be finite"):
             ChannelModel(ebn0_db=ebn0, rate=0.5)
+
+
+@pytest.mark.parametrize("ebn0_db,message", [
+    (4000.0, "Eb/N0 4000.0 dB gives no finite positive noise variance"),
+    (-3300.0, "Eb/N0 -3300.0 dB gives no finite positive noise variance"),
+    (-3100.0, "Eb/N0 -3100.0 dB gives no finite positive noise variance"),
+])
+def test_channel_refuses_ebn0_without_noise_variance(ebn0_db, message):
+    # 10^400 overflows a float, 10^-330 is 0 and 10^-310 leaves an infinite variance
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ChannelModel(ebn0_db=ebn0_db, rate=0.5)
+
+
+def test_sigma_is_the_noise_variance_expression():
+    for ebn0_db, rate in ((-3000.0, 0.5), (-1.5, 0.375), (0.0, 1.0), (2.0, 0.5), (3000.0, 1 / 3)):
+        expected = float(np.sqrt(1.0 / (2.0 * rate * 10.0 ** (ebn0_db / 10.0))))
+        assert ChannelModel(ebn0_db, rate).sigma == expected
 
 
 def test_noise_variance_within_one_percent():
