@@ -27,7 +27,7 @@ class CrcConfig:
 
     def __post_init__(self):
         if self.width < 0:
-            raise CodeConstructionError("CRC width must be >= 0")
+            raise CodeConstructionError(f"CRC width must be >= 0, got {self.width}")
         if self.polynomial >> self.width:
             raise CodeConstructionError(f"CRC polynomial {self.polynomial:#x} wider than "
                                         f"its {self.width}-bit register")
@@ -39,8 +39,8 @@ CRC16 = CrcConfig(width=16, polynomial=0x1021)
 
 def default_crc_config(width: int) -> CrcConfig:
     """CRC-16/CCITT for 16-bit CRCs; an odd truncation of it for other widths."""
-    if width == 0:
-        return CrcConfig(width=0, polynomial=0)
+    if width <= 0:  # no register; CrcConfig refuses a negative width
+        return CrcConfig(width=width, polynomial=0)
     return CrcConfig(width=width, polynomial=(0x1021 % (1 << width)) | 1)
 
 

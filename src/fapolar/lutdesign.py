@@ -1,16 +1,17 @@
 """Offline design of the finite-alphabet decoder tables.
 
-A w-bit message alphabet stands in for LLRs. The channel output and every
-f/g update along the decoder tree are quantized by placing 2^w - 1 boundaries
-in the sorted meta-LLR space so that the mutual information between the
-relevant bit and the quantizer output is maximal: the contiguous-quantizer
-dynamic program of Kurkoski & Yagi (IEEE Trans. IT 2014), optimal for a
-sorted space, costing time K*M^2/2 and memory one block of cost rows plus a
-(K+1, M+1) table for K levels over M observations. Each pruned-tree edge
-yields a decoding table, designed from the parent distribution that both of
-its input messages follow, and each leaf a translation table mapping messages
-to LLRs. MSIB f edges are the exception: their mapping is the min-sum index
-rule ``msib_f_index``, at design time as in the decoder, so they store no table.
+A w-bit message alphabet stands in for LLRs. The channel output and every f/g
+update along the decoder tree are quantized by placing 2^w - 1 boundaries in
+the sorted meta-LLR space so that the mutual information between the relevant
+bit and the quantizer output is maximal: the contiguous-quantizer dynamic
+program of Kurkoski & Yagi (IEEE Trans. IT 2014), optimal for a sorted space,
+costing time K*M^2/2 and memory four scratch planes of one block of cost rows
+plus a (K+1, M+1) table for K levels over M observations (the first interval
+takes no argmax, the last is taken only at the end). Each pruned-tree edge
+yields a decoding table, designed from the parent distribution that both of its
+input messages follow, and each leaf a translation table mapping messages to
+LLRs. MSIB f edges are the exception: their mapping is the min-sum index rule
+``msib_f_index``, at design time as in the decoder, so they store no table.
 
 Alphabets are kept sorted by LLR and exactly odd-symmetric: boundaries are
 designed on the nonnegative half of the score space and mirrored, and the
@@ -192,22 +193,20 @@ def _upper_mask(n):
 def _cost_rows(p0, p1, j0, j1, scratch):
     """cost[r, j, i] for ends j0 <= j < j1 and starts i < j1 of each row r, the MI
     (bits) of interval [i, j) from the cumulative masses p0, p1 (T, M+1), -inf
-    where i >= j; in scratch plane 3."""
+    where i >= j; in scratch plane 3. Planes a, b (0, 1) take the bit masses,
+    a then term 1, and x (2) log2(px * (a + b)). A zero mass gives a +-0 term,
+    and a -0 only meets the other bit's +0 or nonzero term: no mask needed."""
     n_rows = p0.shape[0]
-    planes = scratch[:, :n_rows * (j1 - j0) * j1].reshape(6, n_rows, j1 - j0, j1)
-    a, b, tot, term0, term1, px_tot = planes
+    a, b, x, cost = scratch[:, :n_rows * (j1 - j0) * j1].reshape(4, n_rows, j1 - j0, j1)
     np.subtract(p0[:, j0:j1, None], p0[:, None, :j1], out=a)
     np.subtract(p1[:, j0:j1, None], p1[:, None, :j1], out=b)
-    np.add(a, b, out=tot)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for mass, px, term in ((a, p0[:, -1, None, None], term0), (b, p1[:, -1, None, None], term1)):
-            # term = where(mass > 0, mass * (log2(max(mass, F)) - log2(max(px * tot, F))), 0)
-            np.log2(np.maximum(mass, PROB_FLOOR, out=term), out=term)
-            np.multiply(px, tot, out=px_tot)
-            np.log2(np.maximum(px_tot, PROB_FLOOR, out=px_tot), out=px_tot)
-            np.multiply(mass, np.subtract(term, px_tot, out=term), out=term)
-            np.copyto(term, 0.0, where=~(mass > 0))
-    cost = np.add(term0, term1, out=term0)
+    for mass, px, term in ((a, p0[:, -1, None, None], cost), (b, p1[:, -1, None, None], a)):
+        # term = mass * (log2(max(mass, F)) - log2(max(px * (a + b), F)))
+        np.multiply(px, np.add(a, b, out=x), out=x)
+        np.log2(np.maximum(x, PROB_FLOOR, out=x), out=x)
+        np.log2(np.maximum(mass, PROB_FLOOR, out=term), out=term)
+        np.multiply(mass, np.subtract(term, x, out=term), out=term)
+    np.add(cost, a, out=cost)
     # forbid empty/backwards intervals
     np.copyto(cost[:, :, j0:], -np.inf, where=_upper_mask(j1 - j0))
     return cost
@@ -226,13 +225,15 @@ def _optimal_partition(joint, out_size, lengths=None):
     observations [i, j), i < j. Ends go DP_BLOCK_ROWS at a time: a block's
     cost rows are filled once for all T rows, then each of the out_size steps
     takes a leftmost argmax along them, reading ``best`` of earlier ends only
-    (earlier blocks, or this block's previous step). A row's ends and starts
-    beyond its length only meet its own trailing zero mass, and each row's
-    arithmetic is elementwise, so every row gets the splits it would get
-    alone, bit for bit. Time about K*M^2/2 per row for K = out_size; memory
-    six T * DP_BLOCK_ROWS * (M+1) scratch planes for all blocks plus the
-    (T, K+1, M+1) ``best`` table, never an (M+1)^2 matrix. ``design_lutset``
-    sizes T so that the planes stay within DP_BUDGET_CELLS each.
+    (earlier blocks, or this block's previous step). The first interval's only
+    start is 0, so it takes no argmax; the last is taken only at each row's
+    length. A row's ends and starts beyond its length only meet its own
+    trailing zero mass, and each row's arithmetic is elementwise, so every row
+    gets the splits it would get alone, bit for bit. Time about K*M^2/2 per
+    row for K = out_size; memory four T * DP_BLOCK_ROWS * (M+1) scratch planes
+    for all blocks (``_cost_rows``', the third reused for the step candidates)
+    plus the (T, K+1, M+1) ``best`` table, never an (M+1)^2 matrix.
+    ``design_lutset`` keeps each plane within DP_BUDGET_CELLS.
     """
     n_rows, _, width = joint.shape
     lengths = np.full(n_rows, width) if lengths is None else np.asarray(lengths)
@@ -247,26 +248,35 @@ def _optimal_partition(joint, out_size, lengths=None):
     back = np.zeros((n_rows, out_size, width + 1), dtype=np.int64)
     # every block's temporaries, each contiguous: fresh ones per block re-fault
     # their pages each time, and strided views of (rows, M+1) planes are ~35% slower
-    scratch = np.empty((6, n_rows * min(DP_BLOCK_ROWS, width) * (width + 1)))
+    scratch = np.empty((4, n_rows * min(DP_BLOCK_ROWS, width) * (width + 1)))
     ends = np.arange(n_rows * min(DP_BLOCK_ROWS, width))
+    rows = np.arange(n_rows)
+    last = out_size - 1
     for j0 in range(1, width + 1, DP_BLOCK_ROWS):
         j1 = min(j0 + DP_BLOCK_ROWS, width + 1)
         cost = _cost_rows(p0, p1, j0, j1, scratch)
-        for k in range(out_size):
+        np.add(cost[:, :, 0], best[:, 0, :1], out=best[:, 1, j0:j1])  # back stays 0
+        for k in range(1, last):
             # interval k+1 ends at j: j must leave enough room on both sides
-            lo, hi = max(j0, k + 1), min(j1, width - (out_size - 1 - k) + 1)
+            lo, hi = max(j0, k + 1), min(j1, width - (last - k) + 1)
             if lo < hi:
                 n_ends, n_starts = n_rows * (hi - lo), hi - k
-                cand = scratch[5, :n_ends * n_starts].reshape(n_ends, n_starts)  # (row, end) by start
+                cand = scratch[2, :n_ends * n_starts].reshape(n_ends, n_starts)  # (row, end) by start
                 np.add(cost[:, lo - j0:hi - j0, k:hi], best[:, k, None, k:hi],
                        out=cand.reshape(n_rows, hi - lo, n_starts))
                 arg = np.argmax(cand, axis=1)
                 back[:, k, lo:hi] = (arg + k).reshape(n_rows, hi - lo)
                 best[:, k + 1, lo:hi] = cand[ends[:n_ends], arg].reshape(n_rows, hi - lo)
-    rows = np.arange(n_rows)
-    splits = np.empty((n_rows, out_size - 1), dtype=np.int64)
+        here = rows[(j0 <= lengths) & (lengths < j1)]
+        if last and here.size:  # the last interval, at the rows' ends in this block
+            end = lengths[here]
+            cand = cost[here, end - j0, last:] + best[here, last, last:j1]
+            arg = np.argmax(cand, axis=1)
+            back[here, last, end] = arg + last
+            best[here, out_size, end] = cand[ends[:here.size], arg]
+    splits = np.empty((n_rows, last), dtype=np.int64)
     end = lengths
-    for k in range(out_size - 1, 0, -1):
+    for k in range(last, 0, -1):
         end = splits[:, k - 1] = back[rows, k, end]
     return splits, best[rows, out_size, lengths]
 

@@ -130,6 +130,11 @@ def test_config_errors_exit_2(capsys, tmp_path):
         assert want_rc == 0 or repr(key) in err
 
 
+def test_negative_crc_width_exits_2(capsys):
+    rc, _, err = run_cli(capsys, "tree", "--n", "8", "--k", "3", "--crc", "-2")
+    assert rc == 2 and "CRC width must be >= 0, got -2" in err
+
+
 def test_simulate_lut_sets_the_decoder_family(capsys, tmp_path):
     lut_file, json_file = tmp_path / "lut.json", tmp_path / "out.json"
     run_cli(capsys, "design", "--n", "32", "--k", "12", "--crc", "4",

@@ -167,6 +167,13 @@ def test_default_crc_config_widths():
     assert default_crc_config(0) == fp.CrcConfig(0, 0)
 
 
+def test_negative_crc_width_is_refused_by_name():
+    with pytest.raises(CodeConstructionError, match="CRC width must be >= 0, got -2"):
+        default_crc_config(-2)
+    with pytest.raises(CodeConstructionError, match="CRC width must be >= 0, got -2"):
+        fp.construct(8, 3, -2)
+
+
 def test_crc_polynomial_must_fit_its_register():
     # width 0 has no register: a polynomial there would name a CRC that checks nothing
     for width, poly in ((0, 0x1021), (0, 1), (4, 0x10), (16, 0x10000)):

@@ -403,10 +403,10 @@ DP_ROWS = [1, 2, 3, 7, lutdesign.DP_BLOCK_ROWS]
 
 
 @st.composite
-def dp_joints(draw, rows):
+def dp_joints(draw, rows, min_obs=1):
     """(2, n_obs) masses, n_obs on both sides of the block height. Masses are
     zero (all-zero columns make exact cost ties), near PROB_FLOOR, or ordinary."""
-    n_obs = draw(st.integers(max(1, rows - 3), rows + 4))
+    n_obs = draw(st.integers(max(min_obs, rows - 3), rows + 4))
     mass = st.one_of(st.just(0.0), st.floats(1e-305, 1e-295), st.floats(1e-3, 1.0))
     return draw(hnp.arrays(np.float64, (2, n_obs), elements=mass, fill=st.nothing()))
 
@@ -423,6 +423,28 @@ def test_blocked_dp_equals_matrix_dp_bit_for_bit(rows, data):
             ref_splits, ref_value = matrix_partition(joint, out_size)
             assert same_bits(splits, ref_splits)
             assert same_bits(np.float64(value), np.float64(ref_value))
+
+
+@pytest.mark.parametrize("rows", DP_ROWS[:-1])
+@settings(max_examples=30)  # each example runs every out_size
+@given(data=st.data())
+def test_blocked_dp_batched_rows_equal_matrix_dp_bit_for_bit(rows, data):
+    # rows of different lengths, zero-padded into one call, so that their ends
+    # (where the last interval is taken) fall in different blocks; out_size 1
+    # and 2 make the first and the last interval one, or neighbours
+    joints = data.draw(st.lists(dp_joints(rows, min_obs=2), min_size=2, max_size=4,
+                                unique_by=lambda joint: joint.shape[1]))
+    lengths = [joint.shape[1] for joint in joints]
+    padded = np.zeros((len(joints), 2, max(lengths)))
+    for row, joint in zip(padded, joints):
+        row[:, :joint.shape[1]] = joint
+    with mock.patch.object(lutdesign, "DP_BLOCK_ROWS", rows):
+        for out_size in range(1, min(lengths) + 1):
+            splits, values = lutdesign._optimal_partition(padded, out_size, lengths)
+            for joint, row_splits, value in zip(joints, splits, values):
+                ref_splits, ref_value = matrix_partition(joint, out_size)
+                assert same_bits(row_splits, ref_splits)
+                assert same_bits(value, np.float64(ref_value))
 
 
 @pytest.mark.parametrize("rows", DP_ROWS)
