@@ -31,8 +31,8 @@ from .tree import (
 from .listdec import (
     DecodeResult,
     ListConfig,
+    ListEngine,
     ca_select,
-    decode,
     decode_rate0,
     decode_rate1,
     decode_rep,

@@ -11,7 +11,7 @@ from functools import partial
 from .codes import CodeConstructionError
 from .lutdesign import LutDesignError, design_lutset, load_lutset, save_lutset
 from .sim import DecoderSpec, code_from_options, sweep, write_csv, write_json
-from .tree import build_tree, dump_schedule, parse_kinds, schedule_text
+from .tree import LUT_VARIANTS, build_tree, dump_schedule, parse_kinds, schedule_text
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -131,7 +131,7 @@ def build_parser():
 
     p_design = sub.add_parser("design", help="design a LUT set offline")
     _add_code_options(p_design)
-    p_design.add_argument("--variant", choices=("ib", "msib"), required=True)
+    p_design.add_argument("--variant", choices=LUT_VARIANTS, required=True)
     p_design.add_argument("--schedule", type=_schedule, default="fast", help=SCHEDULE_HELP)
     p_design.add_argument("--ebn0", type=float, required=True,
                           help="design Eb/N0 in dB")
@@ -147,7 +147,7 @@ def build_parser():
     p_sim.add_argument("--crc", type=int, default=0)
     p_sim.add_argument("--rate-profile", default=None, metavar="FILE")
     p_sim.add_argument("--crc-poly", default=None, metavar="HEX")
-    p_sim.add_argument("--decoder", choices=("llr", "ib", "msib"),
+    p_sim.add_argument("--decoder", choices=("llr", *LUT_VARIANTS),
                        help="decoder family (default: the --lut set's variant, else llr)")
     p_sim.add_argument("--lut", default=None, metavar="FILE")
     p_sim.add_argument("--schedule", type=_schedule, default="fast", help=SCHEDULE_HELP)

@@ -1,4 +1,4 @@
-"""SC / SCL / fast-SCL decoding: one entry point, ``decode``.
+"""SC / SCL / fast-SCL decoding: one entry point, ``ListEngine``.
 
 A ``ListEngine`` compiles a decoder tree, unpruned (SCL) or pruned (fast SCL),
 once into a flat tuple of steps in activation order: the f, g and combine of
@@ -42,8 +42,10 @@ class ListConfig:
     metric_mode: str = "approx"
 
     def __post_init__(self):
-        if self.list_size < 1:
-            raise ValueError("list size must be >= 1")
+        size = self.list_size  # an integer, numpy ones too; a bool is no list size
+        if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1:
+            raise ValueError(f"list size must be an integer >= 1, got {size!r}")
+        object.__setattr__(self, "list_size", int(size))
         if self.metric_mode not in ("approx", "exact"):
             raise ValueError(f"unknown metric mode {self.metric_mode!r}")
 
@@ -254,8 +256,8 @@ def _cols(lo, hi):
 
 
 class ListEngine:
-    """A list decoder, set up once (LUT set checked, tree compiled to steps);
-    each ``decode`` call runs the steps on one frame."""
+    """A list decoder on any schedule, set up once (LUT set checked, tree
+    compiled to steps); each ``decode`` call runs the steps on one frame."""
 
     def __init__(self, code: PolarCode, tree: DecoderTree, cfg: ListConfig,
                  lutset: LutSet = None):
@@ -335,15 +337,6 @@ class ListEngine:
     def _permute(self, parent_idx):
         self.msgs = self.msgs[parent_idx]
         self.bits = self.bits[parent_idx]
-
-
-def decode(code: PolarCode, tree: DecoderTree, msgs, cfg: ListConfig,
-           lutset: LutSet = None) -> DecodeResult:
-    """List decoding of one frame on any schedule (``sc_tree(code)`` for
-    conventional SCL). ``msgs`` are channel LLRs, or with a ``lutset`` quantized
-    channel symbols, decoded by table lookups; the set is checked against the
-    code and tree before the walk."""
-    return ListEngine(code, tree, cfg, lutset).decode(msgs)
 
 
 def ca_select(code: PolarCode, result: DecodeResult):

@@ -1,7 +1,7 @@
 """Finite-alphabet message arithmetic driven by designed lookup tables.
 
-``listdec.decode`` given a LUT set walks the tree as it does on LLRs, with
-these ops: interior f/g updates become table lookups on w-bit integer
+A ``listdec.ListEngine`` given a LUT set walks the tree as it does on LLRs,
+with these ops: interior f/g updates become table lookups on w-bit integer
 messages, and each leaf translates its messages to LLRs before the usual
 metric updates or constituent decoding. Path metrics stay floating-point.
 The set is checked against the code and tree when the decoder is built, so a

@@ -4,11 +4,9 @@ A w-bit message alphabet stands in for LLRs. The channel output and every f/g
 update along the decoder tree are quantized by placing 2^w - 1 boundaries in
 the sorted meta-LLR space so that the mutual information between the relevant
 bit and the quantizer output is maximal: the contiguous-quantizer dynamic
-program of Kurkoski & Yagi (IEEE Trans. IT 2014), optimal for a sorted space,
-costing time K*M^2/2 and memory four scratch planes of one block of cost rows
-plus a (K+1, M+1) table for K levels over M observations (the first interval
-takes no argmax, the last is taken only at the end). Each pruned-tree edge
-yields a decoding table, designed from the parent distribution that both of its
+program of Kurkoski & Yagi (IEEE Trans. IT 2014), optimal for a sorted space
+(``_optimal_partition``, which states its cost). Each pruned-tree edge yields
+a decoding table, designed from the parent distribution that both of its
 input messages follow, and each leaf a translation table mapping messages to
 LLRs. MSIB f edges are the exception: their mapping is the min-sum index rule
 ``msib_f_index``, at design time as in the decoder, so they store no table.
@@ -20,15 +18,11 @@ translation LLRs are symmetrized by averaging mirrored magnitudes.
 Every design step carries a leading table axis: ``build_f_table`` and
 ``build_g_table`` take a list of parent distributions and run one sort, one
 tie merge and one quantizer DP for all of them, rows with fewer groups
-padded with zero mass at the end. ``design_lutset`` walks the tree one depth
-at a time and hands each depth's tables over in as few batches as keep the
-DP's scratch planes within DP_BUDGET_CELLS, the channel quantizer's own
-block, so design cost follows the tree's depth count rather than its table
-count and a batch never needs more memory than the channel quantizer. The
-channel quantizer, and any table at w >= 6 (its pre-binned DP fills the
-budget alone), is a batch of one. Each row's arithmetic is elementwise and
-in the order a lone table would use, so a table comes out the same, bit for
-bit, in any batch.
+padded with zero mass at the end. ``design_lutset`` batches the tables of
+each tree depth (``_batch_cap``): no batch needs more DP memory than the
+channel quantizer, which, like any table at w >= 6, is a batch of one. Each
+row's arithmetic is elementwise and in the order a lone table would use, so
+a table comes out the same, bit for bit, in any batch.
 """
 
 import json
@@ -40,7 +34,7 @@ from scipy.special import ndtr
 
 from .arith import f_exact
 from .codes import PolarCode
-from .tree import DecoderTree
+from .tree import LUT_VARIANTS, DecoderTree, decoding_count
 
 PROB_FLOOR = 1e-300
 CHANNEL_GRID_CELLS = 2000
@@ -130,17 +124,6 @@ def noise_variance(ebn0_db, rate) -> float:
     return sigma2
 
 
-def mutual_information(joint) -> float:
-    """I(X;T) in bits for a joint distribution of shape (2, |T|)."""
-    joint = np.asarray(joint, dtype=np.float64)
-    px = joint.sum(axis=1, keepdims=True)
-    pt = joint.sum(axis=0, keepdims=True)
-    mask = joint > 0
-    terms = np.zeros_like(joint)
-    terms[mask] = joint[mask] * np.log2(joint[mask] / (px * pt)[mask])
-    return float(terms.sum())
-
-
 def _sum_by(index, joint, size):
     """(T, 2, size) masses: joint[r, x, y] summed into column index[r, y] of row r,
     in y order (one bincount over all rows, each row offset by ``size``)."""
@@ -166,20 +149,6 @@ def _merge_sorted(scores, joint):
     group_scores = np.zeros((len(scores), n_groups.max()))
     group_scores[np.nonzero(new_group)[0], group_of[new_group]] = scores[new_group]
     return group_scores, _sum_by(group_of, joint, group_scores.shape[1]), group_of, n_groups
-
-
-def merge_equal_llrs(scores, joint):
-    """Group observations with identical scores (a lossless merge).
-
-    Returns (group_scores, group_joint, group_index) where group_index maps
-    each observation to its group. Scores must arrive sorted ascending.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    joint = np.asarray(joint, dtype=np.float64)
-    if np.any(np.diff(scores) < 0):
-        raise LutDesignError("scores must be sorted ascending")
-    g_scores, g_joint, group_of, (n_groups,) = _merge_sorted(scores[None], joint[None])
-    return g_scores[0, :n_groups], g_joint[0, :, :n_groups], group_of[0]
 
 
 @lru_cache(maxsize=None)  # n <= DP_BLOCK_ROWS
@@ -279,23 +248,6 @@ def _optimal_partition(joint, out_size, lengths=None):
     for k in range(last, 0, -1):
         end = splits[:, k - 1] = back[rows, k, end]
     return splits, best[rows, out_size, lengths]
-
-
-def mi_max_quantize(joint, out_size):
-    """Optimal contiguous quantizer for observations sorted by LLR.
-
-    ``joint`` has shape (2, |Y|) with columns in strictly ascending LLR order
-    (merge ties first). Returns (split_points, assignment, llr_table,
-    joint_out): ``assignment[y] = t`` and ``llr_table[t]`` is the output LLR.
-    """
-    joint = np.asarray(joint, dtype=np.float64)
-    scores = _llrs_from_joint(joint)
-    if np.any(np.diff(scores) <= 0):
-        raise LutDesignError("observations must be strictly sorted by LLR")
-    (splits,), _ = _optimal_partition(joint[None], out_size)
-    assignment = np.searchsorted(splits, np.arange(joint.shape[1]), side="right")
-    joint_out = _sum_by(assignment[None], joint[None], out_size)[0]
-    return splits, assignment, _llrs_from_joint(joint_out), joint_out
 
 
 def _prebin_groups(group_joint, lengths, limit):
@@ -558,7 +510,7 @@ class LutSet:
 
     def table_counts(self):
         """(decoding, translation) counts: ``tree.table_counts`` of any tree it decodes on."""
-        return len(self.decoding_tables) + (self.variant == "msib"), len(self.translation_tables)
+        return decoding_count(self.decoding_tables, self.variant), len(self.translation_tables)
 
 
 def _batch_cap(size):
@@ -587,7 +539,7 @@ def design_lutset(code: PolarCode, tree: DecoderTree, variant: str,
     ``_msib_f_dist`` call), so the cost follows the depth count, not the
     table count. Each table comes out as it would alone, bit for bit.
     """
-    if variant not in ("ib", "msib"):
+    if variant not in LUT_VARIANTS:
         raise LutDesignError(f"unknown variant {variant!r}")
     thresholds, channel = quantize_channel(design_ebn0_db, code.rate, w)
     decoding, translation = {}, {}
@@ -679,8 +631,9 @@ def load_lutset(path) -> LutSet:
         raise LutDesignError(f"'w' must be an integer in [1, 15], got {w!r}")
     size = 1 << w
     variant = _field(doc, "variant", str)
-    if variant not in ("ib", "msib"):
-        raise LutDesignError(f"'variant' must be 'ib' or 'msib', got {variant!r}")
+    if variant not in LUT_VARIANTS:
+        raise LutDesignError(f"'variant' must be {' or '.join(map(repr, LUT_VARIANTS))}, "
+                             f"got {variant!r}")
     thresholds = _field(doc, "channel_thresholds", list)
     if len(thresholds) != size - 1 or any(type(t) is not float for t in thresholds) \
             or not np.all(np.isfinite(thresholds)) or not np.all(np.diff(thresholds) > 0):

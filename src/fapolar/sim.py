@@ -21,7 +21,7 @@ from .codes import CrcConfig, PolarCode, assemble_u, construct, encode, load_seq
 from .listdec import ListConfig, ListEngine, ca_select
 from .lutdec import quantize_rx
 from .lutdesign import LutSet, noise_variance
-from .tree import build_tree, parse_kinds, schedule_text
+from .tree import LUT_VARIANTS, build_tree, parse_kinds, schedule_text
 
 BATCH_FRAMES = 256  # frames per worker job; run_point checks its stop rule between jobs
 
@@ -54,10 +54,11 @@ class DecoderSpec:
     lut_path: str = ""             # where the caller's LUT set came from, for the record
 
     def __post_init__(self):
-        if self.family not in ("llr", "ib", "msib"):
+        if self.family not in ("llr", *LUT_VARIANTS):
             raise ValueError(f"unknown decoder family {self.family!r}")
         if self.family == "llr" and self.lut_path:
             raise ValueError(f"llr decoder given a LUT set: lut_path {self.lut_path!r}")
+        object.__setattr__(self, "list_size", ListConfig(self.list_size).list_size)  # a plain int
         # one spelling per tree, so the CSV cell and config_hash name it one way
         object.__setattr__(self, "schedule", schedule_text(parse_kinds(self.schedule)))
 

@@ -128,20 +128,27 @@ def sc_tree(code: PolarCode) -> DecoderTree:
     return build_tree(code, enabled_kinds=frozenset())
 
 
+LUT_VARIANTS = ("ib", "msib")  # the quantized decoders; ``stored_tables`` is what each stores
+
+
 def stored_tables(tree: DecoderTree, variant: str) -> dict:
     """Edge id -> arity of every decoding table a quantized decoder stores: IB
     one per edge (arity 2 on f edges, 3 with the fed-back bit on g edges), MSIB
     the g tables only, as its f updates are the index rule on every edge."""
-    if variant not in ("ib", "msib"):
+    if variant not in LUT_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     return {edge_id: 3 if kind == "g" else 2 for edge_id, kind in enumerate(tree.edge_kinds)
             if kind == "g" or variant == "ib"}
 
 
+def decoding_count(stored, variant: str) -> int:
+    """The ``stored`` tables plus the channel quantizer, counted in place of MSIB's f tables."""
+    return len(stored) + (variant == "msib")
+
+
 def table_counts(tree: DecoderTree, variant: str) -> tuple:
-    """(decoding_tables, translation_tables) needed by a quantized decoder:
-    the stored tables, plus the channel quantizer in place of MSIB's f tables."""
-    return len(stored_tables(tree, variant)) + (variant == "msib"), tree.leaf_count
+    """(decoding_tables, translation_tables) needed by a quantized decoder on ``tree``."""
+    return decoding_count(stored_tables(tree, variant), variant), tree.leaf_count
 
 
 def dump_schedule(tree: DecoderTree):

@@ -18,11 +18,10 @@ import fapolar as fp
 from fapolar.listdec import decode_rate0, decode_rate1, decode_rep, decode_spc
 from fapolar.lutdec import quantize_rx
 from fapolar.lutdesign import (
+    _merge_sorted,
+    _optimal_partition,
     design_lutset,
     load_lutset,
-    merge_equal_llrs,
-    mi_max_quantize,
-    mutual_information,
     quantize_channel,
     save_lutset,
 )
@@ -90,6 +89,8 @@ def test_criterion_04_equivalence_suite():
     tree_r0rep = fp.build_tree(code, {"R0", "Rep"})
     tree_r0r1rep = fp.build_tree(code, {"R0", "R1", "Rep"})
     sc = fp.sc_tree(code)
+    ref_dec, a_dec, b_dec = (fp.ListEngine(code, tree, cfg)
+                             for tree in (sc, tree_r0rep, tree_r0r1rep))
     sigma = ChannelModel(2.5, code.rate).sigma
     same_r0rep = 0
     same_r0r1rep = 0
@@ -97,11 +98,11 @@ def test_criterion_04_equivalence_suite():
     for trial in range(frames):
         _, _, y = noisy_frame(code, sigma=sigma, seed=(40, trial))
         llr = 2.0 * y / sigma ** 2
-        ref = fp.decode(code, sc, llr, cfg)
+        ref = ref_dec.decode(llr)
         ref_set = {tuple(row) for row in ref.x_hats}
-        a = fp.decode(code, tree_r0rep, llr, cfg)
+        a = a_dec.decode(llr)
         same_r0rep += {tuple(r) for r in a.x_hats} == ref_set
-        b = fp.decode(code, tree_r0r1rep, llr, cfg)
+        b = b_dec.decode(llr)
         same_r0r1rep += {tuple(r) for r in b.x_hats} == ref_set
     assert same_r0rep == frames
     assert same_r0r1rep >= 0.999 * frames
@@ -197,6 +198,14 @@ def _mi_bits(joint):
     return ent(joint.sum(axis=1)) + ent(joint.sum(axis=0)) - ent(joint.ravel())
 
 
+def _partition_mi(joint, cuts):
+    """I(X;T) of the contiguous partition of the columns of ``joint`` whose
+    intervals after the first start at ``cuts``, from the interval sums."""
+    bounds = (0,) + tuple(cuts) + (joint.shape[1],)
+    return _mi_bits(np.stack([[joint[x, lo:hi].sum() for lo, hi in zip(bounds, bounds[1:])]
+                              for x in (0, 1)]))
+
+
 @criterion(7, "quantizer DP is optimal and the channel quantizer retains MI")
 def test_criterion_07_quantizer_optimality():
     rng = np.random.default_rng(70)
@@ -208,17 +217,14 @@ def test_criterion_07_quantizer_optimality():
         raw /= raw.sum()
         order = np.argsort(np.log(raw[0] / raw[1]), kind="stable")
         srt = raw[:, order]
-        _, joint, _ = merge_equal_llrs(np.log(srt[0] / srt[1]), srt)
+        _, joint, _, (n_groups,) = _merge_sorted(np.log(srt[0] / srt[1])[None], srt[None])
+        joint = joint[0, :, :n_groups]
         if joint.shape[1] < out_size:
             continue
-        _, _, _, joint_out = mi_max_quantize(joint, out_size)
-        best = -np.inf
-        for cuts in itertools.combinations(range(1, joint.shape[1]), out_size - 1):
-            bounds = (0,) + cuts + (joint.shape[1],)
-            agg = np.stack([[joint[x, lo:hi].sum() for lo, hi in zip(bounds, bounds[1:])]
-                            for x in (0, 1)])
-            best = max(best, _mi_bits(agg))
-        assert abs(_mi_bits(joint_out) - best) <= 1e-12
+        (splits,), _ = _optimal_partition(joint[None], out_size)  # the design's DP
+        best = max(_partition_mi(joint, cuts)
+                   for cuts in itertools.combinations(range(1, joint.shape[1]), out_size - 1))
+        assert abs(_partition_mi(joint, splits) - best) <= 1e-12
         checked += 1
 
     _, dist = quantize_channel(0.5, 0.5, 4)
@@ -230,7 +236,7 @@ def test_criterion_07_quantizer_optimality():
     grid_joint = np.stack([mass0, mass0[::-1]]) * 0.5
     grid_joint /= grid_joint.sum()
     grid_mi = _mi_bits(grid_joint)
-    got = mutual_information(dist.joint)
+    got = _mi_bits(dist.joint)
     assert got <= grid_mi <= 1.0
     assert got >= 0.99 * grid_mi
 
@@ -345,11 +351,12 @@ def test_criterion_10_lut_roundtrip(tmp_path, code8):
     for key, table in lutset.translation_tables.items():
         assert np.array_equal(loaded.translation_tables[key], table)
     cfg = fp.ListConfig(list_size=4)
+    dec_a, dec_b = fp.ListEngine(code, tree, cfg, lutset), fp.ListEngine(code, tree, cfg, loaded)
     sigma = ChannelModel(2.0, code.rate).sigma
     for trial in range(100):
         _, _, y = noisy_frame(code, sigma=sigma, seed=(101, trial))
         symbols = quantize_rx(lutset.channel_thresholds, y)
-        res_a = fp.decode(code, tree, symbols, cfg, lutset)
-        res_b = fp.decode(code, tree, symbols, cfg, loaded)
+        res_a = dec_a.decode(symbols)
+        res_b = dec_b.decode(symbols)
         assert np.array_equal(res_a.u_hats, res_b.u_hats)
         assert np.array_equal(res_a.metrics, res_b.metrics)

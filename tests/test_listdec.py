@@ -188,12 +188,12 @@ def test_fork_prune_keeps_smallest_with_stable_ties():
 def test_scl_noiseless_recovers_input(code8):
     rng = np.random.default_rng(6)
     cfg = fp.ListConfig(list_size=4, metric_mode="approx")
-    sc = fp.sc_tree(code8)
+    decoder = ListEngine(code8, fp.sc_tree(code8), cfg)
     for _ in range(10):
         payload = rng.integers(0, 2, 3, dtype=np.uint8)
         u = fp.assemble_u(code8, payload)
         llr = 29.0 * (1.0 - 2.0 * fp.encode(code8, u).astype(np.float64))
-        res = fp.decode(code8, sc, llr, cfg)
+        res = decoder.decode(llr)
         assert np.array_equal(res.u_hats[0], u)
         assert res.metrics[0] == 0.0
 
@@ -203,11 +203,11 @@ def test_scl_full_list_reaches_ml_metric(code8):
     # agrees with exhaustive maximum likelihood under the min-sum metric
     rng = np.random.default_rng(7)
     cfg = fp.ListConfig(list_size=16, metric_mode="approx")
-    sc = fp.sc_tree(code8)
+    decoder = ListEngine(code8, fp.sc_tree(code8), cfg)
     for trial in range(25):
         _, _, y = noisy_frame(code8, sigma=1.0, seed=(100, trial))
         llr = 2.0 * y
-        res = fp.decode(code8, sc, llr, cfg)
+        res = decoder.decode(llr)
         assert len(res) == 16
         assert abs(res.metrics[0] - ml_metric_oracle(code8, llr)) < 1e-9
 
@@ -216,21 +216,21 @@ def test_scl_list_one_equals_reference_sc():
     rng = np.random.default_rng(8)
     code = fp.construct(32, 13, 0)
     cfg = fp.ListConfig(list_size=1, metric_mode="approx")
-    sc = fp.sc_tree(code)
+    decoder = ListEngine(code, fp.sc_tree(code), cfg)
     for trial in range(50):
         _, _, y = noisy_frame(code, sigma=0.9, seed=(200, trial))
         llr = 2.0 * y / 0.81
-        res = fp.decode(code, sc, llr, cfg)
+        res = decoder.decode(llr)
         assert np.array_equal(res.u_hats[0], sc_decode_reference(code, llr))
 
 
 def test_metrics_nonnegative_nondecreasing_and_pruned_correctly():
     code = fp.construct(64, 30, 0)
     cfg = fp.ListConfig(list_size=8, metric_mode="approx")
-    sc = fp.sc_tree(code)
+    decoder = ListEngine(code, fp.sc_tree(code), cfg)
     for trial in range(20):
         _, _, y = noisy_frame(code, sigma=1.0, seed=(300, trial))
-        res = fp.decode(code, sc, 2.0 * y, cfg)
+        res = decoder.decode(2.0 * y)
         assert len(res) == 8
         assert np.all(res.metrics >= 0)
         assert np.all(np.diff(res.metrics) >= 0)
@@ -244,11 +244,12 @@ def test_fscl_empty_kinds_identical_to_scl():
     assert empty.schedule_hash() == sc.schedule_hash()
     for mode in ("approx", "exact"):
         cfg = fp.ListConfig(list_size=4, metric_mode=mode)
+        dec_a, dec_b = ListEngine(code, sc, cfg), ListEngine(code, empty, cfg)
         for trial in range(30):
             _, _, y = noisy_frame(code, sigma=0.9, seed=(400, trial))
             llr = 2.0 * y / 0.81
-            a = fp.decode(code, sc, llr, cfg)
-            b = fp.decode(code, empty, llr, cfg)
+            a = dec_a.decode(llr)
+            b = dec_b.decode(llr)
             assert np.array_equal(a.u_hats, b.u_hats)
             assert np.array_equal(a.metrics, b.metrics)
 
@@ -258,7 +259,7 @@ def test_fscl_textbook_tree_touches_two_nodes(code8):
     assert tree.leaf_count == 2
     cfg = fp.ListConfig(list_size=4)
     _, _, y = noisy_frame(code8, sigma=0.8, seed=500)
-    res = fp.decode(code8, tree, 2.0 * y, cfg)
+    res = ListEngine(code8, tree, cfg).decode(2.0 * y)
     assert len(res) <= 4
     # both constituent outputs must be valid for their node types; the root
     # combine maps them to x = [beta_l ^ beta_r, beta_r]
@@ -274,11 +275,12 @@ def test_fscl_r0_rep_frame_identical_to_scl():
     tree = fp.build_tree(code, {"R0", "Rep"})
     sc = fp.sc_tree(code)
     cfg = fp.ListConfig(list_size=4)
+    dec_a, dec_b = ListEngine(code, sc, cfg), ListEngine(code, tree, cfg)
     for trial in range(100):
         _, _, y = noisy_frame(code, sigma=0.95, seed=(600, trial))
         llr = 2.0 * y / (0.95 ** 2)
-        a = fp.decode(code, sc, llr, cfg)
-        b = fp.decode(code, tree, llr, cfg)
+        a = dec_a.decode(llr)
+        b = dec_b.decode(llr)
         assert {tuple(r) for r in a.x_hats} == {tuple(r) for r in b.x_hats}
         assert np.allclose(np.sort(a.metrics), np.sort(b.metrics), atol=1e-9)
 
@@ -297,8 +299,6 @@ def test_nan_llrs_refused_before_walk(monkeypatch, kinds):
     llr[[5, 40]] = np.nan
     with pytest.raises(ValueError, match="NaN"):
         engine.decode(llr)
-    with pytest.raises(ValueError, match="NaN"):
-        fp.decode(code, tree, llr, fp.ListConfig(list_size=4))
     llr[[5, 40]] = np.inf, -np.inf
     with pytest.raises(ValueError, match="finite"):
         engine.decode(llr)
@@ -314,7 +314,7 @@ def test_huge_llrs_refused_above_overflow_bound(monkeypatch, kinds, mode):
     cfg = fp.ListConfig(list_size=4, metric_mode=mode)
     bound = np.sqrt(np.finfo(np.float64).max) / code.block_len
     llr = bound * np.random.default_rng(4).choice([-1.0, 1.0], code.block_len)
-    assert np.isfinite(fp.decode(code, tree, llr, cfg).metrics).all()
+    assert np.isfinite(ListEngine(code, tree, cfg).decode(llr).metrics).all()
     refuse_walk(monkeypatch)
     llr[7] = np.nextafter(bound, np.inf)
     with pytest.raises(ValueError, match=re.escape(f"{bound:.6g}")):
@@ -342,7 +342,7 @@ def test_reused_engine_equals_fresh_decode_frame_by_frame():
             _, _, y = noisy_frame(code, sigma, seed=(1200, code.block_len, frame))
             msgs = quantize_rx(lutset.channel_thresholds, y) if lutset else 2.0 * y / sigma ** 2
             got = engine.decode(msgs)
-            want = fp.decode(code, tree, msgs, cfg, lutset)
+            want = ListEngine(code, tree, cfg, lutset).decode(msgs)  # a fresh engine
             assert np.array_equal(got.u_hats, want.u_hats)
             assert np.array_equal(got.x_hats, want.x_hats)
             assert got.metrics.tobytes() == want.metrics.tobytes()
@@ -358,11 +358,11 @@ def test_reused_engine_equals_fresh_decode_frame_by_frame():
 def test_ca_select_prefers_crc_pass():
     code = fp.construct(64, 16, 16)
     cfg = fp.ListConfig(list_size=8)
-    sc = fp.sc_tree(code)
+    decoder = ListEngine(code, fp.sc_tree(code), cfg)
     hits = 0
     for trial in range(50):
         payload, _, y = noisy_frame(code, sigma=0.85, seed=(700, trial))
-        res = fp.decode(code, sc, 2.0 * y / 0.85 ** 2, cfg)
+        res = decoder.decode(2.0 * y / 0.85 ** 2)
         idx, info, ok = fp.ca_select(code, res)
         if ok and idx > 0:
             hits += 1
@@ -391,11 +391,12 @@ def test_decodes_bit_identical_to_pinned_digests(kinds, mode):
     code = fp.construct(256, 128, 16)
     cfg = fp.ListConfig(list_size=8, metric_mode=mode)
     tree = fp.sc_tree(code) if kinds == "sc" else fp.build_tree(code, fp.parse_kinds(kinds))
+    decoder = ListEngine(code, tree, cfg)
     metrics, x_hats = hashlib.sha256(), hashlib.sha256()
     for trial in range(20):
         _, _, y = noisy_frame(code, 0.8, seed=(900, trial))
         llr = 2.0 * y / 0.8 ** 2
-        res = fp.decode(code, tree, llr, cfg)
+        res = decoder.decode(llr)
         metrics.update(res.metrics.tobytes())
         x_hats.update(res.x_hats.tobytes())
     assert (metrics.hexdigest()[:16], x_hats.hexdigest()[:16]) == PINNED_DIGESTS[kinds, mode]

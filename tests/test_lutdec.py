@@ -13,7 +13,7 @@ from fapolar.lutdec import LutMismatchError, _msib_f_rule, quantize_rx
 from fapolar.lutdesign import design_lutset, msib_f_index
 from fapolar.tree import stored_tables
 
-from conftest import noisy_frame, refuse_walk
+from conftest import noisy_frame
 
 W4 = 4
 
@@ -62,21 +62,21 @@ def test_lut_decoder_refuses_mismatched_set(n64_setup, n64_ib):
     code, sc, fast = n64_setup
     sc_set, fast_set = n64_ib
     cfg = fp.ListConfig(list_size=2)
-    symbols = np.zeros(64, dtype=np.int16)
     with pytest.raises(LutMismatchError):
-        fp.decode(code, sc, symbols, cfg, fast_set)
+        ListEngine(code, sc, cfg, fast_set)
     other = fp.construct(64, 20, 8)
     with pytest.raises(LutMismatchError):
-        fp.decode(other, fp.sc_tree(other), symbols, cfg, sc_set)
+        ListEngine(other, fp.sc_tree(other), cfg, sc_set)
+    decoder = ListEngine(code, sc, cfg, sc_set)
     with pytest.raises(LutMismatchError):
-        fp.decode(code, sc, np.zeros(64), cfg, sc_set)  # float input
+        decoder.decode(np.zeros(64))  # float input
 
 
 @pytest.mark.parametrize("case", ["g-dropped", "f-arity-3", "leaf-dropped", "leaf-extra",
                                   "msib-f-stray", "unknown-id"])
-def test_uncovered_set_refused_before_walk(n64_setup, n64_ib, monkeypatch, case):
-    # coverage is checked when the ops are built: the error names the edge or
-    # leaf, and no node is visited (a swapped arity used to be an IndexError
+def test_uncovered_set_refused_before_walk(n64_setup, n64_ib, case):
+    # coverage is checked when the engine is built, so no node is visited: the
+    # error names the edge or leaf (a swapped arity used to be an IndexError
     # in the middle of the walk); stray tables are refused too, so the set's
     # table count is the tree's
     code, _, fast = n64_setup
@@ -105,22 +105,20 @@ def test_uncovered_set_refused_before_walk(n64_setup, n64_ib, monkeypatch, case)
         lutset.translation_tables[fast.leaf_count] = lutset.translation_tables[0]
         name = f"leaf {fast.leaf_count}"
 
-    refuse_walk(monkeypatch)
     with pytest.raises(LutMismatchError, match=re.escape(name) + r"\b"):
-        fp.decode(code, fast, np.zeros(64, dtype=np.int16), fp.ListConfig(list_size=2), lutset)
+        ListEngine(code, fast, fp.ListConfig(list_size=2), lutset)
 
 
 def test_lut_decode_strong_channel_error_free(n64_setup, n64_ib):
     code, sc, _ = n64_setup
     sc_set, _ = n64_ib
-    cfg = fp.ListConfig(list_size=4)
-    channel = None
+    decoder = ListEngine(code, sc, fp.ListConfig(list_size=4), sc_set)
     errors = 0
     sigma = float(np.sqrt(1.0 / (2.0 * code.rate * 10 ** ((2.0 + 6.0) / 10.0))))
     for trial in range(1000):
         payload, _, y = noisy_frame(code, sigma=sigma, seed=(1000, trial))
         symbols = quantize_rx(sc_set.channel_thresholds, y)
-        res = fp.decode(code, sc, symbols, cfg, sc_set)
+        res = decoder.decode(symbols)
         _, info, _ = fp.ca_select(code, res)
         if not np.array_equal(info[: code.payload_len], payload):
             errors += 1
@@ -183,7 +181,8 @@ def test_textbook_fast_tree_touches_two_of_each(code8):
     lutset = design_lutset(code8, tree, "ib", 0.5, W4)
     cfg = fp.ListConfig(list_size=4)
     _, _, y = noisy_frame(code8, sigma=0.9, seed=7)
-    res = fp.decode(code8, tree, quantize_rx(lutset.channel_thresholds, y), cfg, lutset)
+    symbols = quantize_rx(lutset.channel_thresholds, y)
+    res = ListEngine(code8, tree, cfg, lutset).decode(symbols)
     assert len(res.touched_decoding) == 2
     assert len(res.touched_translation) == 2
 
@@ -197,11 +196,12 @@ def test_root_leaf_translation_matches_float_bit_for_bit():
     lutset = design_lutset(code, tree, "ib", 3.0, W4)
     table = lutset.translation_tables[0]
     cfg = fp.ListConfig(list_size=4)
+    lut_dec, float_dec = ListEngine(code, tree, cfg, lutset), ListEngine(code, tree, cfg)
     rng = np.random.default_rng(5)
     for _ in range(50):
         symbols = rng.integers(0, 16, 16).astype(np.int16)
-        lut_res = fp.decode(code, tree, symbols, cfg, lutset)
-        float_res = fp.decode(code, tree, table[symbols], cfg)
+        lut_res = lut_dec.decode(symbols)
+        float_res = float_dec.decode(table[symbols])
         assert np.array_equal(lut_res.u_hats, float_res.u_hats)
         assert np.allclose(lut_res.metrics, float_res.metrics)
 
@@ -212,11 +212,12 @@ def test_lut_fscl_empty_kinds_equals_lut_scl(n64_setup, n64_ib):
     sc_set, _ = n64_ib
     empty = fp.build_tree(code, frozenset())
     cfg = fp.ListConfig(list_size=4)
+    dec_a, dec_b = ListEngine(code, sc, cfg, sc_set), ListEngine(code, empty, cfg, sc_set)
     for trial in range(20):
         _, _, y = noisy_frame(code, sigma=0.9, seed=(1100, trial))
         symbols = quantize_rx(sc_set.channel_thresholds, y)
-        a = fp.decode(code, sc, symbols, cfg, sc_set)
-        b = fp.decode(code, empty, symbols, cfg, sc_set)
+        a = dec_a.decode(symbols)
+        b = dec_b.decode(symbols)
         assert np.array_equal(a.u_hats, b.u_hats)
         assert np.array_equal(a.metrics, b.metrics)
 
@@ -227,14 +228,15 @@ def test_lut_scl_supports_exact_metric_mode(n64_setup, n64_ib):
     # a valid sorted list
     code, sc, _ = n64_setup
     sc_set, _ = n64_ib
+    exact_dec, approx_dec = (
+        ListEngine(code, sc, fp.ListConfig(list_size=4, metric_mode=mode), sc_set)
+        for mode in ("exact", "approx"))
     diffs = 0
     for trial in range(50):
         _, _, y = noisy_frame(code, sigma=0.95, seed=(1500, trial))
         symbols = quantize_rx(sc_set.channel_thresholds, y)
-        exact = fp.decode(code, sc, symbols,
-                          fp.ListConfig(list_size=4, metric_mode="exact"), sc_set)
-        approx = fp.decode(code, sc, symbols,
-                           fp.ListConfig(list_size=4, metric_mode="approx"), sc_set)
+        exact = exact_dec.decode(symbols)
+        approx = approx_dec.decode(symbols)
         assert np.all(np.diff(exact.metrics) >= 0)
         assert np.all(exact.metrics >= 0)
         diffs += not np.array_equal(exact.u_hats, approx.u_hats)
@@ -256,14 +258,14 @@ def test_fast_lut_decode_tracks_float_fast_decode(n64_setup, n64_ib):
     code, _, fast = n64_setup
     _, fast_set = n64_ib
     cfg = fp.ListConfig(list_size=4)
+    lut_dec, float_dec = ListEngine(code, fast, cfg, fast_set), ListEngine(code, fast, cfg)
     sigma = float(np.sqrt(1.0 / (2.0 * code.rate * 10 ** (3.0 / 10.0))))
     agree = 0
     trials = 300
     for trial in range(trials):
         payload, _, y = noisy_frame(code, sigma=sigma, seed=(1200, trial))
-        res_lut = fp.decode(code, fast, quantize_rx(fast_set.channel_thresholds, y), cfg,
-                            fast_set)
-        res_float = fp.decode(code, fast, 2.0 * y / sigma ** 2, cfg)
+        res_lut = lut_dec.decode(quantize_rx(fast_set.channel_thresholds, y))
+        res_float = float_dec.decode(2.0 * y / sigma ** 2)
         _, info_l, _ = fp.ca_select(code, res_lut)
         _, info_f, _ = fp.ca_select(code, res_float)
         agree += np.array_equal(info_l, info_f)
@@ -280,14 +282,14 @@ def test_r0_only_tree_tracks_sc_schedule(n64_setup):
     sc_set = design_lutset(code, sc, "ib", 2.0, W4)
     r0_set = design_lutset(code, r0only, "ib", 2.0, W4)
     cfg = fp.ListConfig(list_size=4)
+    sc_dec, r0_dec = ListEngine(code, sc, cfg, sc_set), ListEngine(code, r0only, cfg, r0_set)
     sigma = float(np.sqrt(1.0 / (2.0 * code.rate * 10 ** (2.0 / 10.0))))
     agree = 0
     trials = 1000
     for trial in range(trials):
         _, _, y = noisy_frame(code, sigma=sigma, seed=(1400, trial))
-        res_sc = fp.decode(code, sc, quantize_rx(sc_set.channel_thresholds, y), cfg, sc_set)
-        res_r0 = fp.decode(code, r0only, quantize_rx(r0_set.channel_thresholds, y), cfg,
-                           r0_set)
+        res_sc = sc_dec.decode(quantize_rx(sc_set.channel_thresholds, y))
+        res_r0 = r0_dec.decode(quantize_rx(r0_set.channel_thresholds, y))
         _, info_a, _ = fp.ca_select(code, res_sc)
         _, info_b, _ = fp.ca_select(code, res_r0)
         agree += np.array_equal(info_a, info_b)
@@ -298,13 +300,14 @@ def test_r0_only_tree_tracks_sc_schedule(n64_setup):
 def test_w8_lut_scl_nearly_lossless(n64_sc_ib_w8):
     code, sc, lutset = n64_sc_ib_w8
     cfg = fp.ListConfig(list_size=4)
+    lut_dec, float_dec = ListEngine(code, sc, cfg, lutset), ListEngine(code, sc, cfg)
     sigma = float(np.sqrt(1.0 / (2.0 * code.rate * 10 ** (3.5 / 10.0))))
     agree = 0
     trials = 1000
     for trial in range(trials):
         _, _, y = noisy_frame(code, sigma=sigma, seed=(1300, trial))
-        res_lut = fp.decode(code, sc, quantize_rx(lutset.channel_thresholds, y), cfg, lutset)
-        res_float = fp.decode(code, sc, 2.0 * y / sigma ** 2, cfg)
+        res_lut = lut_dec.decode(quantize_rx(lutset.channel_thresholds, y))
+        res_float = float_dec.decode(2.0 * y / sigma ** 2)
         _, info_l, _ = fp.ca_select(code, res_lut)
         _, info_f, _ = fp.ca_select(code, res_float)
         agree += np.array_equal(info_l, info_f)
@@ -316,13 +319,15 @@ def test_u_hats_are_transform_of_x_hats(n64_setup, n64_ib):
     # row must be a codeword whose input matches, on all tree kinds
     code, sc, fast = n64_setup
     cfg = fp.ListConfig(list_size=4)
+    float_decs = [ListEngine(code, tree, cfg) for tree in (sc, fast)]
+    lut_decs = [(lutset, ListEngine(code, tree, cfg, lutset))
+                for tree, lutset in zip((sc, fast), n64_ib)]
     for trial in range(10):
         _, _, y = noisy_frame(code, sigma=0.9, seed=(900, trial))
         llr = 2.0 * y / 0.81
-        results = [fp.decode(code, sc, llr, cfg), fp.decode(code, fast, llr, cfg)]
-        for tree, lutset in zip((sc, fast), n64_ib):
-            symbols = quantize_rx(lutset.channel_thresholds, y)
-            results.append(fp.decode(code, tree, symbols, cfg, lutset))
+        results = [decoder.decode(llr) for decoder in float_decs]
+        for lutset, decoder in lut_decs:
+            results.append(decoder.decode(quantize_rx(lutset.channel_thresholds, y)))
         for res in results:
             assert res.u_hats.shape == res.x_hats.shape == (len(res), code.block_len)
             for u_hat, x_hat in zip(res.u_hats, res.x_hats):

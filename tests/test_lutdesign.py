@@ -18,15 +18,14 @@ from fapolar.lutdesign import (
     MessageAlphabet,
     MessageDist,
     _design_symmetric,
+    _merge_sorted,
     _msib_f_dist,
+    _optimal_partition,
     build_f_table,
     build_g_table,
     design_lutset,
     load_lutset,
-    merge_equal_llrs,
-    mi_max_quantize,
     msib_f_index,
-    mutual_information,
     quantize_channel,
     save_lutset,
     symmetrize_llrs,
@@ -53,18 +52,27 @@ def mi_bits(joint):
     return ent(px) + ent(pt) - ent(joint.ravel())
 
 
+def partition_mi(joint, splits):
+    """I(X;T) of the contiguous partition of the columns of ``joint`` whose
+    intervals after the first start at ``splits``, from the interval sums."""
+    bounds = (0, *splits, joint.shape[1])
+    agg = np.stack([
+        [joint[x, a:b].sum() for a, b in zip(bounds, bounds[1:])]
+        for x in (0, 1)
+    ])
+    return mi_bits(agg)
+
+
 def exhaustive_best_partition(joint, out_size):
     """Maximum I(X;T) over all contiguous partitions, by enumeration."""
-    n_obs = joint.shape[1]
-    best = -np.inf
-    for cuts in itertools.combinations(range(1, n_obs), out_size - 1):
-        bounds = (0,) + cuts + (n_obs,)
-        agg = np.stack([
-            [joint[x, a:b].sum() for a, b in zip(bounds, bounds[1:])]
-            for x in (0, 1)
-        ])
-        best = max(best, mi_bits(agg))
-    return best
+    return max(partition_mi(joint, cuts)
+               for cuts in itertools.combinations(range(1, joint.shape[1]), out_size - 1))
+
+
+def dp_partition_mi(joint, out_size):
+    """I(X;T) of the split that the design's quantizer DP picks for ``joint``."""
+    (splits,), _ = _optimal_partition(joint[None], out_size)
+    return partition_mi(joint, splits)
 
 
 def sorted_random_joint(rng, n_obs):
@@ -73,8 +81,8 @@ def sorted_random_joint(rng, n_obs):
     order = np.argsort(np.log(raw[0] / raw[1]), kind="stable")
     srt = raw[:, order]
     scores = np.log(srt[0] / srt[1])
-    _, grouped, _ = merge_equal_llrs(scores, srt)
-    return grouped
+    _, grouped, _, (n_groups,) = _merge_sorted(scores[None], srt[None])
+    return grouped[0, :, :n_groups]
 
 
 def fine_grid_channel_mi(ebn0_db, rate, cells=2000):
@@ -116,10 +124,11 @@ def test_symmetrize_averages_mirrored_magnitudes():
 def test_merge_equal_llrs_is_lossless():
     joint = np.array([[0.1, 0.2, 0.05, 0.15], [0.05, 0.1, 0.025, 0.325]])
     scores = np.array([-1.0, 0.5, 0.5, 2.0])
-    _, grouped, group_of = merge_equal_llrs(scores, joint)
-    assert grouped.shape == (2, 3)
-    assert group_of.tolist() == [0, 1, 1, 2]
-    assert abs(mi_bits(grouped) - mi_bits(joint)) < 1e-12  # same-LLR merge loses nothing
+    group_scores, grouped, group_of, n_groups = _merge_sorted(scores[None], joint[None])
+    assert n_groups.tolist() == [3] and grouped.shape == (1, 2, 3)
+    assert group_scores.tolist() == [[-1.0, 0.5, 2.0]]
+    assert group_of.tolist() == [[0, 1, 1, 2]]
+    assert abs(mi_bits(grouped[0]) - mi_bits(joint)) < 1e-12  # same-LLR merge loses nothing
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +137,9 @@ def test_merge_equal_llrs_is_lossless():
 def test_identity_partition_preserves_everything():
     rng = np.random.default_rng(0)
     joint = sorted_random_joint(rng, 12)
-    splits, assignment, llrs, joint_out = mi_max_quantize(joint, joint.shape[1])
-    assert assignment.tolist() == list(range(joint.shape[1]))
-    assert abs(mi_bits(joint_out) - mi_bits(joint)) < 1e-12
+    (splits,), _ = _optimal_partition(joint[None], joint.shape[1])
+    assert splits.tolist() == list(range(1, joint.shape[1]))  # one observation per level
+    assert abs(partition_mi(joint, splits) - mi_bits(joint)) < 1e-12
 
 
 def test_dp_matches_exhaustive_on_random_instances():
@@ -141,15 +150,14 @@ def test_dp_matches_exhaustive_on_random_instances():
         joint = sorted_random_joint(rng, n_obs)
         if joint.shape[1] < out_size:
             continue
-        _, _, _, joint_out = mi_max_quantize(joint, out_size)
-        assert abs(mi_bits(joint_out) - exhaustive_best_partition(joint, out_size)) < 1e-12
+        best = exhaustive_best_partition(joint, out_size)
+        assert abs(dp_partition_mi(joint, out_size) - best) < 1e-12
 
 
 def test_dp_matches_exhaustive_on_64_symbol_space():
     rng = np.random.default_rng(7)
     joint = sorted_random_joint(rng, 64)
-    _, _, _, joint_out = mi_max_quantize(joint, 4)
-    assert abs(mi_bits(joint_out) - exhaustive_best_partition(joint, 4)) < 1e-12
+    assert abs(dp_partition_mi(joint, 4) - exhaustive_best_partition(joint, 4)) < 1e-12
 
 
 def test_channel_design_peak_memory():
@@ -169,8 +177,8 @@ def test_channel_design_peak_memory():
 def test_quantize_rejects_too_small_space():
     rng = np.random.default_rng(1)
     joint = sorted_random_joint(rng, 3)
-    with pytest.raises(LutDesignError):
-        mi_max_quantize(joint, joint.shape[1] + 1)
+    with pytest.raises(LutDesignError, match="cannot split 3 observations into 4 intervals"):
+        _optimal_partition(joint[None], joint.shape[1] + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +203,7 @@ def test_channel_thresholds_sorted_and_symmetric(channel4):
 def test_channel_mi_within_data_processing_bounds(channel4):
     _, dist = channel4
     grid_mi = fine_grid_channel_mi(0.5, 0.5)
-    got = mutual_information(dist.joint)
+    got = mi_bits(dist.joint)
     assert got <= grid_mi <= 1.0
     assert got >= 0.99 * grid_mi
 
@@ -269,7 +277,7 @@ def test_f_table_symmetric_output_and_mi_bound(channel4):
     for out in (out, *_msib_f_dist([dist])):
         llr = out.alphabet.llr_table
         assert np.array_equal(llr, -llr[::-1])
-        assert mutual_information(out.joint) <= mutual_information(dist.joint) + 1e-12
+        assert mi_bits(out.joint) <= mi_bits(dist.joint) + 1e-12
 
 
 def test_f_table_places_zero_box_plus_scores():
@@ -336,8 +344,8 @@ def test_g_table_covers_full_domain_and_gains_information(channel4):
                 unq[1, idx] = pa[1 ^ b, t1] * pa[1, t2]
                 idx += 1
     unquantized_mi = mi_bits(unq)
-    got = mutual_information(out.joint)
-    assert got >= mutual_information(dist.joint) - 1e-12  # combining two looks helps
+    got = mi_bits(out.joint)
+    assert got >= mi_bits(dist.joint) - 1e-12  # combining two looks helps
     assert got >= 0.95 * unquantized_mi
 
 
@@ -435,13 +443,13 @@ def test_design_evolution_respects_data_processing():
     def rec(node, dist):
         if node.is_leaf:
             return
-        parent_mi = mutual_information(dist.joint)
+        parent_mi = mi_bits(dist.joint)
         _, (f_out,) = build_f_table([dist])
-        assert mutual_information(f_out.joint) <= parent_mi + 1e-12
+        assert mi_bits(f_out.joint) <= parent_mi + 1e-12
         _, (g_out,) = build_g_table([dist])
-        assert mutual_information(g_out.joint) >= parent_mi - 1e-12
-        assert 0.0 <= mutual_information(f_out.joint) <= 1.0
-        assert 0.0 <= mutual_information(g_out.joint) <= 1.0
+        assert mi_bits(g_out.joint) >= parent_mi - 1e-12
+        assert 0.0 <= mi_bits(f_out.joint) <= 1.0
+        assert 0.0 <= mi_bits(g_out.joint) <= 1.0
         rec(node.left, f_out)
         rec(node.right, g_out)
 

@@ -89,7 +89,8 @@ def frames(draw):
 def test_engine_equals_reference_walk_bit_for_bit(frame, list_size, mode):
     code, llr = frame
     tree = fp.sc_tree(code)
-    res = fp.decode(code, tree, llr, fp.ListConfig(list_size=list_size, metric_mode=mode))
+    cfg = fp.ListConfig(list_size=list_size, metric_mode=mode)
+    res = fp.ListEngine(code, tree, cfg).decode(llr)
     x_hats, metrics = reference_scl(llr, code, tree, list_size, mode)
     assert same_bits(res.x_hats, x_hats)
     assert same_bits(res.metrics, metrics)
@@ -102,7 +103,8 @@ def test_engine_equals_reference_walk_on_pruned_trees(frame, kinds, list_size, m
     # interior nodes (level by level in the engine) when R0 is not pruned
     code, llr = frame
     tree = fp.build_tree(code, fp.parse_kinds(",".join(sorted(kinds))))
-    res = fp.decode(code, tree, llr, fp.ListConfig(list_size=list_size, metric_mode=mode))
+    cfg = fp.ListConfig(list_size=list_size, metric_mode=mode)
+    res = fp.ListEngine(code, tree, cfg).decode(llr)
     x_hats, metrics = reference_scl(llr, code, tree, list_size, mode)
     assert same_bits(res.x_hats, x_hats)
     assert same_bits(res.metrics, metrics)
@@ -388,16 +390,6 @@ def matrix_partition(joint, out_size):
     return np.array(splits[::-1], dtype=np.int64), float(best[n_obs])
 
 
-def matrix_quantize(joint, out_size):
-    """mi_max_quantize on matrix_partition, with the masses summed by np.add.at."""
-    splits, _ = matrix_partition(joint, out_size)
-    assignment = np.searchsorted(splits, np.arange(joint.shape[1]), side="right")
-    joint_out = np.zeros((2, out_size))
-    np.add.at(joint_out[0], assignment, joint[0])
-    np.add.at(joint_out[1], assignment, joint[1])
-    return splits, assignment, lutdesign._llrs_from_joint(joint_out), joint_out
-
-
 # the module's block height, and smaller ones that put more block edges in reach
 DP_ROWS = [1, 2, 3, 7, lutdesign.DP_BLOCK_ROWS]
 
@@ -445,24 +437,6 @@ def test_blocked_dp_batched_rows_equal_matrix_dp_bit_for_bit(rows, data):
                 ref_splits, ref_value = matrix_partition(joint, out_size)
                 assert same_bits(row_splits, ref_splits)
                 assert same_bits(value, np.float64(ref_value))
-
-
-@pytest.mark.parametrize("rows", DP_ROWS)
-@settings(max_examples=30)  # each example runs every out_size
-@given(data=st.data())
-def test_mi_max_quantize_equals_matrix_form_bit_for_bit(rows, data):
-    joint = data.draw(dp_joints(rows))
-    # mi_max_quantize wants strictly ascending LLRs: sort and merge ties
-    scores = lutdesign._llrs_from_joint(joint)
-    order = np.argsort(scores, kind="stable")
-    _, joint, _ = lutdesign.merge_equal_llrs(scores[order], joint[:, order])
-    if np.any(np.diff(lutdesign._llrs_from_joint(joint)) <= 0):
-        return  # a merged column's LLR rounded onto its neighbour's
-    with mock.patch.object(lutdesign, "DP_BLOCK_ROWS", rows):
-        for out_size in range(1, joint.shape[1] + 1):
-            got = lutdesign.mi_max_quantize(joint, out_size)
-            for x, y in zip(got, matrix_quantize(joint, out_size)):
-                assert same_bits(x, y)
 
 
 # ---------------------------------------------------------------------------

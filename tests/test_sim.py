@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import fapolar as fp
+from fapolar.listdec import ListEngine
 from fapolar.sim import (
     ChannelModel,
     DecoderSpec,
@@ -18,6 +19,8 @@ from fapolar.sim import (
     write_csv,
     write_json,
 )
+
+from conftest import noisy_frame, refuse_walk
 
 
 def test_channel_sigma_definition():
@@ -62,6 +65,34 @@ def test_decoder_spec_validation():
     DecoderSpec(family="llr", schedule="sc")
     with pytest.raises(ValueError, match="llr decoder given a LUT set"):  # nor float ones a set
         DecoderSpec(family="llr", lut_path="msib.json")
+
+
+@pytest.mark.parametrize("entry", ["ListConfig", "DecoderSpec"])
+def test_list_size_is_an_integer_checked_where_it_enters(monkeypatch, entry):
+    # 2.5 used to die mid-decode in _fork_prune, True decoded as L=1 under
+    # another config_hash, "4" raised TypeError, and a numpy 4 broke config_hash
+    code = fp.construct(64, 28, 8)
+    if entry == "ListConfig":
+        llr = 2.0 * noisy_frame(code, 0.8, seed=3)[2] / 0.64
+        tree = fp.build_tree(code)
+
+        def run(size):
+            res = ListEngine(code, tree, fp.ListConfig(list_size=size)).decode(llr)
+            return res.x_hats.tobytes(), res.metrics.tobytes()
+    else:
+        def run(size):
+            result = sweep(code, DecoderSpec(list_size=size), [2.0], max_frames=8, min_errors=0)
+            return result.config_hash, json.dumps(result.config), result.points[0].block_errors
+
+    refuse_walk(monkeypatch)
+    for size in (2.5, True, "4", 0):
+        with pytest.raises(ValueError, match=re.escape(f"list size must be an integer >= 1, "
+                                                       f"got {size!r}")):
+            run(size)
+    monkeypatch.undo()
+    assert run(np.int64(4)) == run(4)
+    for made in (fp.ListConfig(np.int64(4)), DecoderSpec(list_size=np.int64(4))):
+        assert type(made.list_size) is int
 
 
 def test_decoder_spec_schedule_is_the_one_tree_field():
