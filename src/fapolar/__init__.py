@@ -22,7 +22,6 @@ from .tree import (
     DecoderTree,
     NodeKind,
     build_tree,
-    classify_span,
     dump_schedule,
     parse_kinds,
     sc_tree,

@@ -2,11 +2,13 @@
 
 A ``ListEngine`` compiles a decoder tree, unpruned (SCL) or pruned (fast SCL),
 once into a flat tuple of steps in activation order: the f, g and combine of
-each interior node, level-by-level all-frozen subtrees, and leaves, where a
-single bit is decided (frozen) or forks every path, and a special span runs a
-one-shot constituent decoder (rate-0, rate-1, repetition, single parity
-check). A frame is one loop over the steps. Given a LUT set, f/g steps are
-table lookups (``lutdec``) and leaves first translate messages to LLRs.
+each interior node, and leaves, where a single bit is decided (frozen) or
+forks every path, and a special span runs a one-shot constituent decoder
+(rate-0, rate-1, repetition, single parity check). On LLRs, all-frozen and
+repetition interior nodes are one step each, level by level, and so is each
+information pair, with every bit still decided in order. A frame is one loop
+over the steps. Given a LUT set, f/g steps are table lookups (``lutdec``) and
+leaves first translate messages to LLRs.
 
 All constituent decoders use the hardware-friendly approximate path metric.
 Candidate order is deterministic: parent path first, fork flag 0 before 1,
@@ -33,7 +35,7 @@ from .arith import f_exact, f_minsum, g_func, combine_bits, hard_decision, metri
 from .codes import PolarCode, polar_transform, extract_info_bits, crc_check
 from .lutdec import _LutOps
 from .lutdesign import LutSet
-from .tree import DecoderTree, NodeKind
+from .tree import DecoderTree, NodeKind, span_kinds
 
 
 @dataclass(frozen=True)
@@ -184,11 +186,12 @@ def decode_spc(metrics, alpha, list_size):
 _BIT_PAIR = np.array([[False], [True]])  # one metric_increment call prices both decisions
 
 
-def _decode_frozen(metrics, llrs, list_size, f, mode):
-    """All-frozen span on LLRs, a single bit or a subtree. No leaf LLR depends
-    on a decision, so each level takes one f call and one add (g with bit 0)
-    for all of its nodes; the bit-0 increments are then added in leaf order,
-    as a node-by-node walk adds them. Every path stays in place."""
+def _decode_levelwise(metrics, llrs, list_size, f, mode, info_last):
+    """All-frozen span (a single bit or a subtree), or with ``info_last`` a
+    repetition span, on LLRs. Frozen bits are 0, so no leaf LLR depends on a
+    decision: each level takes one f call and one add (g with bit 0) for all
+    its nodes, and the frozen bit-0 increments are added in leaf order, as a
+    node-by-node walk adds them. A repetition span's last bit then forks."""
     paths, size = llrs.shape
     llrs = llrs[:, None, :]            # (paths, nodes of this level, node size)
     while llrs.shape[2] > 1:
@@ -198,17 +201,27 @@ def _decode_frozen(metrics, llrs, list_size, f, mode):
         f(a, b, out=child[:, :, 0])
         np.add(a, b, out=child[:, :, 1])
         llrs = child.reshape(paths, -1, half)
-    terms = np.empty((size + 1, paths))
+    n_frozen = size - info_last
+    terms = np.empty((n_frozen + 1, paths))
     terms[0] = metrics
-    terms[1:] = metric_increment(0, llrs[:, :, 0].T, mode)
-    return None, np.add.accumulate(terms)[-1], 0
+    terms[1:] = metric_increment(0, llrs[:, :n_frozen, 0].T, mode)
+    mu = np.add.accumulate(terms)[-1]
+    return _decode_info(mu, llrs[:, -1], list_size, f, mode) if info_last else (None, mu, 0)
 
 
-def _decode_info_bit(metrics, llrs, list_size, mode):
-    """Information single bit: every path forks to both decisions, then prune."""
-    keep, fork = metrics + metric_increment(_BIT_PAIR, llrs[:, 0], mode)
-    parent, fork, mu = _fork_prune(keep, fork, list_size)
-    return parent, mu, fork[:, None]
+def _decode_info(metrics, llrs, list_size, f, mode):
+    """Information bit: every path forks to both decisions, then prune. A pair
+    (two information bits) runs its node's walk: f, fork u0, g on the survivors'
+    messages, fork u1, combine; the paths move once, by the composed parents."""
+    if llrs.shape[1] == 1:
+        keep, fork = metrics + metric_increment(_BIT_PAIR, llrs[:, 0], mode)
+        parent, fork, mu = _fork_prune(keep, fork, list_size)
+        return parent, mu, fork[:, None]
+    a, b = llrs[:, :1], llrs[:, 1:]
+    parent0, mu, u0 = _decode_info(metrics, f(a, b), list_size, f, mode)
+    parent1, mu, u1 = _decode_info(mu, g_func(a[parent0], b[parent0], u0), list_size, f, mode)
+    beta = np.concatenate((u0[parent1], u1), axis=1)
+    return parent0[parent1], mu, combine_bits(beta, out=beta)
 
 
 _SPECIAL_DECODERS = {
@@ -223,7 +236,7 @@ class _FloatOps:
     """Message arithmetic for LLR-domain decoding; updates write into ``out``."""
 
     dtype = np.float64
-    levelwise_frozen = True  # all-frozen interior nodes are one step, level by level
+    levelwise_frozen = True  # all-frozen, rep and information-pair interior nodes are one step
     tables = frozenset(), frozenset()  # no lookup tables
 
     def __init__(self, f, block_len):
@@ -267,9 +280,18 @@ class ListEngine:
         self.tree = tree
         self.cfg = cfg
         f = f_minsum if cfg.metric_mode == "approx" else f_exact
+        span_kind = span_kinds(code.frozen_mask)
+        for leaf in tree.schedule:  # a tree built for another frozen mask would mis-decode
+            lo, end = leaf.span_start, leaf.span_start + leaf.size
+            if leaf.kind != span_kind(lo, leaf.size):
+                raise ValueError(f"{leaf.kind.value} leaf on positions {lo}..{end - 1} disagrees "
+                                 "with the code's frozen mask")
         self.ops = _FloatOps(f, code.block_len) if lutset is None else _LutOps(code, tree, lutset)
-        self._frozen = partial(_decode_frozen, f=f, mode=cfg.metric_mode)
-        self._info_bit = partial(_decode_info_bit, mode=cfg.metric_mode)
+        levelwise = partial(_decode_levelwise, f=f, mode=cfg.metric_mode)
+        # single bits, and the interior nodes that ``_compile`` folds on float ops
+        self._folds = {NodeKind.R0: partial(levelwise, info_last=False),
+                       NodeKind.REP: partial(levelwise, info_last=True),
+                       NodeKind.R1: partial(_decode_info, f=f, mode=cfg.metric_mode)}
         steps = []
         self._compile(tree.root, 0, steps)
         self.steps = tuple(steps)
@@ -298,10 +320,9 @@ class ListEngine:
         alpha, dest = _cols(lo, lo + size), _cols(out, out + size)
         if node.is_leaf and size > 1:
             steps.append((cls._leaf, (node, src, alpha, dest, _SPECIAL_DECODERS[node.kind])))
-        elif node.kind is NodeKind.R0 and (node.is_leaf or self.ops.levelwise_frozen):
-            steps.append((cls._leaf, (node, src, alpha, dest, self._frozen)))
-        elif node.is_leaf:
-            steps.append((cls._leaf, (node, src, alpha, dest, self._info_bit)))
+        elif node.is_leaf or self.ops.levelwise_frozen and (
+                node.kind in (NodeKind.R0, NodeKind.REP) or node.kind is NodeKind.R1 and size == 2):
+            steps.append((cls._leaf, (node, src, alpha, dest, self._folds[node.kind])))
         else:
             half = size // 2
             halves, child_in = (_cols(lo, lo + half), _cols(lo + half, lo + size)), _cols(half, size)

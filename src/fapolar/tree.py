@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate
 
-import numpy as np
-
 from .codes import PolarCode
 
 
@@ -30,14 +28,6 @@ SPECIAL_KINDS = (NodeKind.R0, NodeKind.R1, NodeKind.REP, NodeKind.SPC)
 ALL_NODE_KINDS = frozenset(SPECIAL_KINDS)
 
 
-def classify_span(frozen_span) -> NodeKind:
-    """Match a frozen pattern against the special node types (``_span_kind``)."""
-    frozen_span = np.asarray(frozen_span, dtype=bool)
-    if frozen_span.size < 1:
-        raise ValueError("empty span")
-    return _span_kind(frozen_span.size, int(frozen_span.sum()), frozen_span[0], frozen_span[-1])
-
-
 def _span_kind(size: int, n_frozen: int, first_frozen, last_frozen) -> NodeKind:
     """The rule on a span's frozen count and end bits, tie order R0, R1, Rep
     (all frozen but the last), SPC (only the first frozen): single-bit spans
@@ -49,7 +39,18 @@ def _span_kind(size: int, n_frozen: int, first_frozen, last_frozen) -> NodeKind:
     return NodeKind.SPC if n_frozen == 1 and first_frozen else NodeKind.SC
 
 
-@dataclass
+def span_kinds(frozen_mask):
+    """``kind(lo, size)``: the ``_span_kind`` of mask positions lo..lo+size-1."""
+    frozen = frozen_mask.tolist()
+    before = [0, *accumulate(frozen)]  # before[i]: frozen bits in positions 0..i-1
+
+    def kind(lo: int, size: int) -> NodeKind:
+        end = lo + size
+        return _span_kind(size, before[end] - before[lo], frozen[lo], frozen[end - 1])
+    return kind
+
+
+@dataclass(slots=True)
 class TreeNode:
     """One node of the pruned tree: leaves carry a leaf id (their place in
     activation order), interior nodes their f/g edge ids and two children.
@@ -99,14 +100,12 @@ def build_tree(code: PolarCode, enabled_kinds=ALL_NODE_KINDS) -> DecoderTree:
     special pattern becomes a leaf, everything else recurses. Single-bit spans
     always terminate (as R0/R1). Edge and leaf ids follow activation order."""
     enabled = frozenset(NodeKind(k) for k in enabled_kinds)
-    frozen = code.frozen_mask.tolist()
-    before = [0, *accumulate(frozen)]  # before[i]: frozen bits in positions 0..i-1
+    span_kind = span_kinds(code.frozen_mask)
     schedule = []
     edge_kinds = []
 
     def rec(lo: int, size: int, depth: int) -> TreeNode:
-        end = lo + size
-        kind = _span_kind(size, before[end] - before[lo], frozen[lo], frozen[end - 1])
+        kind = span_kind(lo, size)
         if size == 1 or (kind != NodeKind.SC and kind in enabled):
             schedule.append(TreeNode(depth, lo, size, kind, leaf_id=len(schedule)))
             return schedule[-1]

@@ -11,9 +11,9 @@ import fapolar as fp
 from fapolar.listdec import ListEngine
 from fapolar.lutdec import LutMismatchError, _msib_f_rule, quantize_rx
 from fapolar.lutdesign import design_lutset, msib_f_index
-from fapolar.tree import stored_tables
+from fapolar.tree import NodeKind, stored_tables
 
-from conftest import noisy_frame
+from conftest import noisy_frame, refuse_walk
 
 W4 = 4
 
@@ -70,6 +70,54 @@ def test_lut_decoder_refuses_mismatched_set(n64_setup, n64_ib):
     decoder = ListEngine(code, sc, cfg, sc_set)
     with pytest.raises(LutMismatchError):
         decoder.decode(np.zeros(64))  # float input
+
+
+@pytest.mark.parametrize("schedule", ["sc", "fast"])
+@pytest.mark.parametrize("family", ["llr", "ib"])
+def test_tree_of_another_frozen_mask_refused(monkeypatch, n64_setup, n64_ib, schedule, family):
+    # a tree of the same N built for another mask used to decode without an
+    # error and miss the transmitted word; the first leaf that disagrees is named
+    code, sc, fast = n64_setup
+    tree, lutset = (sc, n64_ib[0]) if schedule == "sc" else (fast, n64_ib[1])
+    other = fp.construct(64, 40, 8)
+    leaf = next(leaf for leaf in tree.schedule
+                if (code.frozen_mask != other.frozen_mask)[leaf.span_start:][:leaf.size].any())
+    refuse_walk(monkeypatch)
+    span = f"{leaf.kind.value} leaf on positions {leaf.span_start}..{leaf.span_start + leaf.size - 1} "
+    with pytest.raises(ValueError, match=re.escape(span)):
+        ListEngine(other, tree, fp.ListConfig(list_size=8), lutset if family == "ib" else None)
+
+
+def test_float_engine_folds_rep_spans_and_information_pairs(n64_setup, n64_ib):
+    # float ops compile each interior rep span and information pair to one
+    # step, with no f, g or combine step of its own; LUT ops read one table
+    # per edge, so they walk every interior node
+    def folded(node):
+        return node.kind in (NodeKind.R0, NodeKind.REP) or node.kind is NodeKind.R1 and node.size == 2
+
+    def interior(node):
+        return [] if node.is_leaf else [node, *interior(node.left), *interior(node.right)]
+
+    def steps_by_kind(engine):
+        kinds = {}
+        for run, args in engine.steps:
+            kinds.setdefault(run.__name__, []).append(args[0])
+        return kinds
+
+    code, sc, _ = n64_setup
+    cfg = fp.ListConfig(list_size=8)
+    float_steps = steps_by_kind(ListEngine(code, sc, cfg))
+    walked = float_steps["_f"] + float_steps["_g"]
+    assert walked and not any(folded(node) for node in walked)
+    assert len(float_steps["_combine"]) == len(float_steps["_f"]) == len(float_steps["_g"])
+    assert {node.kind for node in float_steps["_leaf"] if not node.is_leaf} == \
+        {NodeKind.R0, NodeKind.REP, NodeKind.R1}
+    lut_steps = steps_by_kind(ListEngine(code, sc, cfg, n64_ib[0]))
+    assert [id(node) for node in lut_steps["_f"]] == [id(node) for node in interior(sc.root)]
+    assert len(lut_steps["_leaf"]) == code.block_len
+    for block_len, count in ((1024, 1225), (256, 333)):
+        code = fp.construct(block_len, block_len // 2, 16)
+        assert len(ListEngine(code, fp.sc_tree(code), cfg).steps) == count
 
 
 @pytest.mark.parametrize("case", ["g-dropped", "f-arity-3", "leaf-dropped", "leaf-extra",

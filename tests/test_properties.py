@@ -110,6 +110,33 @@ def test_engine_equals_reference_walk_on_pruned_trees(frame, kinds, list_size, m
     assert same_bits(res.metrics, metrics)
 
 
+def rep_span(size):
+    return [True] * (size - 1) + [False]
+
+
+PAIR = [False, False]
+# Repetition spans of sizes 32 down to 2 and information pairs, each on a node
+# of the SC tree, beside one another and under SC and SPC parents.
+FOLD_MASK = np.array(rep_span(32) + rep_span(16) + rep_span(8) + rep_span(4) + rep_span(2) + PAIR
+                     + (PAIR + rep_span(2)) * 4 + (rep_span(2) + PAIR) * 4 + rep_span(4) + PAIR
+                     + rep_span(2) + rep_span(8) + PAIR + PAIR + rep_span(4) + rep_span(2) + PAIR
+                     + rep_span(4))
+
+
+@given(hnp.arrays(np.float64, FOLD_MASK.size, elements=LLRS), st.sampled_from([1, 2, 4, 8]),
+       st.sampled_from(["approx", "exact"]))
+def test_folded_rep_spans_and_pairs_equal_reference_walk(llr, list_size, mode):
+    # float engines decode each rep span and information pair in one step
+    code = dataclasses.replace(fp.construct(FOLD_MASK.size, int((~FOLD_MASK).sum()), 0),
+                               frozen_mask=FOLD_MASK)
+    tree = fp.sc_tree(code)
+    cfg = fp.ListConfig(list_size=list_size, metric_mode=mode)
+    res = fp.ListEngine(code, tree, cfg).decode(llr)
+    x_hats, metrics = reference_scl(llr, code, tree, list_size, mode)
+    assert same_bits(res.x_hats, x_hats)
+    assert same_bits(res.metrics, metrics)
+
+
 # ---------------------------------------------------------------------------
 # rate-1 / SPC decoders vs their split-by-split form
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import fapolar as fp
-from fapolar.tree import SPECIAL_KINDS, DecoderTree, NodeKind, TreeNode, schedule_text
+from fapolar.tree import SPECIAL_KINDS, DecoderTree, NodeKind, TreeNode, schedule_text, span_kinds
 
 DATA = Path(__file__).parent / "data"
 
@@ -28,7 +28,7 @@ def kinds(*names):
     ([0, 0, 0, 1], NodeKind.SC),
 ])
 def test_classify_span(mask, expected):
-    assert fp.classify_span(np.array(mask, dtype=bool)) == expected
+    assert span_kinds(np.array(mask, dtype=bool))(0, len(mask)) == expected
 
 
 def test_classification_matches_definitions_on_random_spans():
@@ -36,7 +36,7 @@ def test_classification_matches_definitions_on_random_spans():
     for _ in range(300):
         size = int(rng.choice([1, 2, 4, 8, 16]))
         span = rng.integers(0, 2, size).astype(bool)
-        kind = fp.classify_span(span)
+        kind = span_kinds(span)(0, size)
         rules = {
             NodeKind.R0: span.all(),
             NodeKind.R1: not span.any(),
@@ -110,6 +110,14 @@ def test_build_tree_textbook_fast(code8):
         (1, NodeKind.REP, 4), (1, NodeKind.SPC, 4)]
     assert len(tree.edge_kinds) == 2 and tree.leaf_count == 2
     assert fp.dump_schedule(tree) == [(1, 1, "Rep", 4, 0), (2, 1, "SPC", 4, 4)]
+
+
+def test_tree_nodes_are_slotted(code8):
+    # a tree holds 2N - 1 nodes for as long as its decoder lives
+    node = fp.sc_tree(code8).root
+    assert not hasattr(node, "__dict__")
+    with pytest.raises(AttributeError):
+        node.note = "no room for attributes that are not fields"
 
 
 def test_build_tree_textbook_ssc(code8):
