@@ -19,15 +19,23 @@ def f_exact(a, b, clip: float = LLR_CLIP, out=None):
     are read before it is."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    sign = np.sign(a) * np.sign(b)  # np.sign(-0.0) is +0.0: zeros keep the (a < 0) != (b < 0) sign
-    mag_a, mag_b = np.minimum(np.abs(a), clip), np.minimum(np.abs(b), clip)
-    lo, hi = np.minimum(mag_a, mag_b), np.maximum(mag_a, mag_b)
-    terms = np.empty((2,) + lo.shape)  # exponents -(m + M) and m - M = -|mag_a - mag_b|
-    np.negative(np.add(lo, hi, out=terms[0, ...]), out=terms[0, ...])
-    np.subtract(lo, hi, out=terms[1, ...])
-    far, near = np.log1p(np.exp(terms, out=terms), out=terms)  # one pass each for both
-    # never above min(|a|, |b|) <= clip, so the result needs no clip
-    return np.multiply(lo + far - near, sign, out=out)
+    # planes: m; the clipped |a| and |b|, which then hold M, the exponents and the signs
+    scratch = np.empty((3,) + (np.broadcast(a, b).shape if out is None else out.shape))
+    lo, far, near = scratch[0, ...], scratch[1, ...], scratch[2, ...]  # 0-d views if 0-d
+    pair = scratch[1:]
+    np.abs(a, out=far)
+    np.abs(b, out=near)
+    np.minimum(pair, clip, out=pair)
+    np.minimum(far, near, out=lo)
+    hi = np.maximum(far, near, out=near)
+    np.negative(np.add(lo, hi, out=far), out=far)  # -(m + M)
+    np.subtract(lo, hi, out=near)  # m - M = -|mag_a - mag_b|
+    np.log1p(np.exp(pair, out=pair), out=pair)  # one pass each for both
+    np.subtract(np.add(lo, far, out=lo), near, out=lo)
+    # np.sign(-0.0) is +0.0: zeros keep the (a < 0) != (b < 0) sign; never above
+    # min(|a|, |b|) <= clip, so the result needs no clip
+    np.multiply(lo, np.sign(a, out=far), out=lo)
+    return np.multiply(lo, np.sign(b, out=near), out=out)
 
 
 def f_minsum(a, b, out=None):
@@ -43,7 +51,11 @@ _BIT_SIGN = np.array([1.0, -1.0])
 def g_func(a, b, bit, out=None):
     """LLR for the lower branch once the upper-branch bit (0 or 1) is known:
     ``a * (1 - 2 bit) + b``, which is ``b - a`` where the bit is set."""
-    return np.add(np.multiply(a, _BIT_SIGN.take(bit, mode="clip")), b, out=out)
+    sign = _BIT_SIGN.take(bit, mode="clip")
+    # multiplied in place where the sign array already has the product's shape
+    shape = sign.shape  # () for a scalar bit, which takes no out=
+    in_place = shape and (shape == getattr(out, "shape", None) or shape == np.shape(a))
+    return np.add(np.multiply(a, sign, out=sign if in_place else None), b, out=out)
 
 
 def combine_bits(beta, out=None):

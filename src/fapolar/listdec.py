@@ -22,8 +22,8 @@ size s in ``msgs[:, s:2s]`` of a (paths, N) array (the root reads the shared
 channel row), and partial sums in codeword order in a (paths, N) ``bits``: the
 children of a node on positions [o, o + s) write its two halves, and its
 combine XORs the right half into the left in place, so ``bits`` ends as the
-codewords. Steps hold column slices, never arrays, so no replaced path state
-outlives its step.
+codewords. Steps hold column slices and edge or leaf ids, never arrays or tree
+nodes: no replaced path state outlives its step, and the engine keeps no tree.
 """
 
 from dataclasses import dataclass
@@ -210,18 +210,20 @@ def _decode_levelwise(metrics, llrs, list_size, f, mode, info_last):
 
 
 def _decode_info(metrics, llrs, list_size, f, mode):
-    """Information bit: every path forks to both decisions, then prune. A pair
-    (two information bits) runs its node's walk: f, fork u0, g on the survivors'
-    messages, fork u1, combine; the paths move once, by the composed parents."""
+    """Information bit: every path forks to both decisions, then prune. A pair (two
+    information bits) runs its node's walk: f, fork u0, fork u1 on g for the survivor's
+    u0 (g is formed for both before u0 forks), combine; the paths move once."""
     if llrs.shape[1] == 1:
         keep, fork = metrics + metric_increment(_BIT_PAIR, llrs[:, 0], mode)
         parent, fork, mu = _fork_prune(keep, fork, list_size)
         return parent, mu, fork[:, None]
     a, b = llrs[:, :1], llrs[:, 1:]
+    g = np.concatenate((a + b, b - a), axis=1)  # g_func exactly: a * 1 + b, a * -1 + b
     parent0, mu, u0 = _decode_info(metrics, f(a, b), list_size, f, mode)
-    parent1, mu, u1 = _decode_info(mu, g_func(a[parent0], b[parent0], u0), list_size, f, mode)
-    beta = np.concatenate((u0[parent1], u1), axis=1)
-    return parent0[parent1], mu, combine_bits(beta, out=beta)
+    parent1, mu, u1 = _decode_info(mu, g[parent0[:, None], u0], list_size, f, mode)
+    beta = np.repeat(u1, 2, axis=1)
+    beta[:, :1] ^= u0[parent1]  # combined: (u0 ^ u1, u1)
+    return parent0[parent1], mu, beta
 
 
 _SPECIAL_DECODERS = {
@@ -252,13 +254,13 @@ class _FloatOps:
                              "(sqrt of the float64 maximum over N): NaN, +-inf or larger found")
         return llrs
 
-    def f_update(self, node, a, b, out):
+    def f_update(self, edge_id, a, b, out):
         self.f(a, b, out=out)
 
-    def g_update(self, node, a, b, bit, out):
+    def g_update(self, edge_id, a, b, bit, out):
         g_func(a, b, bit, out=out)
 
-    def leaf_llrs(self, node, msgs):
+    def leaf_llrs(self, leaf_id, msgs):
         return msgs
 
 
@@ -277,7 +279,6 @@ class ListEngine:
         if tree.block_len != code.block_len:
             raise ValueError("tree and code block lengths differ")
         self.code = code
-        self.tree = tree
         self.cfg = cfg
         f = f_minsum if cfg.metric_mode == "approx" else f_exact
         span_kind = span_kinds(code.frozen_mask)
@@ -319,36 +320,36 @@ class ListEngine:
         src, lo = ("channel", 0) if size == self.code.block_len else ("msgs", size)
         alpha, dest = _cols(lo, lo + size), _cols(out, out + size)
         if node.is_leaf and size > 1:
-            steps.append((cls._leaf, (node, src, alpha, dest, _SPECIAL_DECODERS[node.kind])))
+            steps.append((cls._leaf, (node.leaf_id, src, alpha, dest, _SPECIAL_DECODERS[node.kind])))
         elif node.is_leaf or self.ops.levelwise_frozen and (
                 node.kind in (NodeKind.R0, NodeKind.REP) or node.kind is NodeKind.R1 and size == 2):
-            steps.append((cls._leaf, (node, src, alpha, dest, self._folds[node.kind])))
+            steps.append((cls._leaf, (node.leaf_id, src, alpha, dest, self._folds[node.kind])))
         else:
             half = size // 2
             halves, child_in = (_cols(lo, lo + half), _cols(lo + half, lo + size)), _cols(half, size)
-            steps.append((cls._f, (node, src, *halves, child_in)))
+            steps.append((cls._f, (node.f_edge_id, src, *halves, child_in)))
             self._compile(node.left, out, steps)
-            steps.append((cls._g, (node, src, *halves, _cols(out, out + half), child_in)))
+            steps.append((cls._g, (node.g_edge_id, src, *halves, _cols(out, out + half), child_in)))
             self._compile(node.right, out + half, steps)
             steps.append((cls._combine, (dest,)))
 
     # steps: each looks up the current path state, which forks replace
 
-    def _f(self, node, src, upper, lower, child_in):
+    def _f(self, edge_id, src, upper, lower, child_in):
         alpha = getattr(self, src)
-        self.ops.f_update(node, alpha[upper], alpha[lower], self.msgs[child_in])
+        self.ops.f_update(edge_id, alpha[upper], alpha[lower], self.msgs[child_in])
 
-    def _g(self, node, src, upper, lower, left, child_in):
+    def _g(self, edge_id, src, upper, lower, left, child_in):
         alpha = getattr(self, src)
-        self.ops.g_update(node, alpha[upper], alpha[lower], self.bits[left], self.msgs[child_in])
+        self.ops.g_update(edge_id, alpha[upper], alpha[lower], self.bits[left], self.msgs[child_in])
 
     def _combine(self, dest):
         beta = self.bits[dest]
         combine_bits(beta, out=beta)
 
-    def _leaf(self, node, src, alpha, dest, decoder):
+    def _leaf(self, leaf_id, src, alpha, dest, decoder):
         """Decode a span into ``bits[dest]``, moving paths unless all stay in place."""
-        llrs = self.ops.leaf_llrs(node, getattr(self, src)[alpha])
+        llrs = self.ops.leaf_llrs(leaf_id, getattr(self, src)[alpha])
         paths = self.mu.size
         parent, self.mu, beta = decoder(self.mu, llrs, self.cfg.list_size)
         if parent is not None and not _in_place(parent, paths):

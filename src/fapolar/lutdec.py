@@ -67,17 +67,17 @@ class _LutOps:
             raise LutMismatchError("channel symbol out of alphabet range")
         return msgs.astype(np.int16)
 
-    def f_update(self, node, a, b, out):
+    def f_update(self, edge_id, a, b, out):
         if self.msib:
             out[...] = _msib_f_rule(self.size)[a, b]
         else:
-            out[...] = self.lutset.decoding_tables[node.f_edge_id][a, b]
+            out[...] = self.lutset.decoding_tables[edge_id][a, b]
 
-    def g_update(self, node, a, b, bit, out):
-        out[...] = self.lutset.decoding_tables[node.g_edge_id][a, b, bit]
+    def g_update(self, edge_id, a, b, bit, out):
+        out[...] = self.lutset.decoding_tables[edge_id][a, b, bit]
 
-    def leaf_llrs(self, node, msgs):
-        return self.lutset.translation_tables[node.leaf_id][msgs]
+    def leaf_llrs(self, leaf_id, msgs):
+        return self.lutset.translation_tables[leaf_id][msgs]
 
 
 def _check_match(code: PolarCode, tree: DecoderTree, lutset: LutSet):

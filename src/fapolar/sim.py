@@ -123,9 +123,13 @@ def _batch_job(args):
     return run_frames(code, decoder, channel, seed, range(start, stop))
 
 
-def _batch_results(jobs, workers):
-    """(last frame, errors) per batch, in order. With a pool, at most ``workers``
-    batches are in flight and the next is submitted only when a result is read."""
+def _batch_results(job_args, max_frames, workers):
+    """(last frame, errors) per batch of frames 0..max_frames-1, in order. A pool forks
+    all its workers at the first submit, so it has at most one per batch; at most
+    ``workers`` batches are in flight, and the next goes in when a result is read."""
+    starts = range(0, max_frames, BATCH_FRAMES)
+    jobs = ((*job_args, s, min(s + BATCH_FRAMES, max_frames)) for s in starts)
+    workers = min(workers, len(starts))
     if workers == 1:
         yield from ((job[-1], _batch_job(job)) for job in jobs)
         return
@@ -157,9 +161,7 @@ def run_point(code: PolarCode, decoder, channel: ChannelModel, *,
     _check_run(seed, max_frames, min_errors, workers)
     t0 = time.perf_counter()
     errors = 0
-    jobs = ((code, decoder, channel, seed, s, min(s + BATCH_FRAMES, max_frames))
-            for s in range(0, max_frames, BATCH_FRAMES))
-    batches = _batch_results(jobs, workers)
+    batches = _batch_results((code, decoder, channel, seed), max_frames, workers)
     for frames_done, batch_errors in batches:
         errors += batch_errors
         if errors >= min_errors > 0:

@@ -100,26 +100,25 @@ def build_tree(code: PolarCode, enabled_kinds=ALL_NODE_KINDS) -> DecoderTree:
     special pattern becomes a leaf, everything else recurses. Single-bit spans
     always terminate (as R0/R1). Edge and leaf ids follow activation order."""
     enabled = frozenset(NodeKind(k) for k in enabled_kinds)
-    span_kind = span_kinds(code.frozen_mask)
-    schedule = []
-    edge_kinds = []
-
-    def rec(lo: int, size: int, depth: int) -> TreeNode:
-        kind = span_kind(lo, size)
-        if size == 1 or (kind != NodeKind.SC and kind in enabled):
-            schedule.append(TreeNode(depth, lo, size, kind, leaf_id=len(schedule)))
-            return schedule[-1]
-        node = TreeNode(depth, lo, size, kind)
-        node.f_edge_id = len(edge_kinds)
-        edge_kinds.append("f")
-        node.left = rec(lo, size // 2, depth + 1)
-        node.g_edge_id = len(edge_kinds)
-        edge_kinds.append("g")
-        node.right = rec(lo + size // 2, size // 2, depth + 1)
-        return node
-
-    root = rec(0, code.block_len, 0)
+    schedule, edge_kinds = [], []
+    root = _grow(0, code.block_len, 0, span_kinds(code.frozen_mask), enabled, schedule, edge_kinds)
     return DecoderTree(code.block_len, root, tuple(schedule), tuple(edge_kinds))
+
+
+def _grow(lo, size, depth, span_kind, enabled, schedule, edge_kinds) -> TreeNode:
+    """``build_tree``'s recursion. Not a closure: one that calls itself is a reference
+    cycle, which keeps the whole tree alive until the cyclic collector runs."""
+    kind = span_kind(lo, size)
+    if size == 1 or (kind != NodeKind.SC and kind in enabled):
+        schedule.append(TreeNode(depth, lo, size, kind, leaf_id=len(schedule)))
+        return schedule[-1]
+    half, f_edge_id = size // 2, len(edge_kinds)
+    edge_kinds.append("f")
+    left = _grow(lo, half, depth + 1, span_kind, enabled, schedule, edge_kinds)
+    g_edge_id = len(edge_kinds)
+    edge_kinds.append("g")
+    right = _grow(lo + half, half, depth + 1, span_kind, enabled, schedule, edge_kinds)
+    return TreeNode(depth, lo, size, kind, -1, f_edge_id, g_edge_id, left, right)
 
 
 def sc_tree(code: PolarCode) -> DecoderTree:

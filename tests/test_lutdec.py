@@ -11,7 +11,7 @@ import fapolar as fp
 from fapolar.listdec import ListEngine
 from fapolar.lutdec import LutMismatchError, _msib_f_rule, quantize_rx
 from fapolar.lutdesign import design_lutset, msib_f_index
-from fapolar.tree import NodeKind, stored_tables
+from fapolar.tree import NodeKind, TreeNode, stored_tables
 
 from conftest import noisy_frame, refuse_walk
 
@@ -91,7 +91,8 @@ def test_tree_of_another_frozen_mask_refused(monkeypatch, n64_setup, n64_ib, sch
 def test_float_engine_folds_rep_spans_and_information_pairs(n64_setup, n64_ib):
     # float ops compile each interior rep span and information pair to one
     # step, with no f, g or combine step of its own; LUT ops read one table
-    # per edge, so they walk every interior node
+    # per edge, so they walk every interior node. Steps name edges and leaves
+    # by id (-1 on a folded interior node) and hold no tree node or array.
     def folded(node):
         return node.kind in (NodeKind.R0, NodeKind.REP) or node.kind is NodeKind.R1 and node.size == 2
 
@@ -101,20 +102,27 @@ def test_float_engine_folds_rep_spans_and_information_pairs(n64_setup, n64_ib):
     def steps_by_kind(engine):
         kinds = {}
         for run, args in engine.steps:
-            kinds.setdefault(run.__name__, []).append(args[0])
+            assert not any(isinstance(arg, (TreeNode, np.ndarray)) for arg in args)
+            kinds.setdefault(run.__name__, []).append(args)
         return kinds
 
     code, sc, _ = n64_setup
+    nodes = interior(sc.root)
+    by_f_edge = {node.f_edge_id: node for node in nodes}
     cfg = fp.ListConfig(list_size=8)
-    float_steps = steps_by_kind(ListEngine(code, sc, cfg))
-    walked = float_steps["_f"] + float_steps["_g"]
+    engine = ListEngine(code, sc, cfg)
+    float_steps = steps_by_kind(engine)
+    walked = [by_f_edge[args[0]] for args in float_steps["_f"]]
     assert walked and not any(folded(node) for node in walked)
-    assert len(float_steps["_combine"]) == len(float_steps["_f"]) == len(float_steps["_g"])
-    assert {node.kind for node in float_steps["_leaf"] if not node.is_leaf} == \
+    assert [args[0] for args in float_steps["_g"]] == sorted(node.g_edge_id for node in walked)
+    assert len(float_steps["_combine"]) == len(walked)
+    fold_kinds = {id(fold): kind for kind, fold in engine._folds.items()}
+    assert {fold_kinds[id(args[-1])] for args in float_steps["_leaf"] if args[0] == -1} == \
         {NodeKind.R0, NodeKind.REP, NodeKind.R1}
     lut_steps = steps_by_kind(ListEngine(code, sc, cfg, n64_ib[0]))
-    assert [id(node) for node in lut_steps["_f"]] == [id(node) for node in interior(sc.root)]
-    assert len(lut_steps["_leaf"]) == code.block_len
+    assert [args[0] for args in lut_steps["_f"]] == [node.f_edge_id for node in nodes]
+    assert [args[0] for args in lut_steps["_g"]] == sorted(node.g_edge_id for node in nodes)
+    assert [args[0] for args in lut_steps["_leaf"]] == list(range(code.block_len))
     for block_len, count in ((1024, 1225), (256, 333)):
         code = fp.construct(block_len, block_len // 2, 16)
         assert len(ListEngine(code, fp.sc_tree(code), cfg).steps) == count

@@ -19,7 +19,7 @@ import fapolar as fp
 from fapolar import lutdesign
 from fapolar.arith import LLR_CLIP, combine_bits, f_exact, f_minsum, g_func, metric_increment
 from fapolar.codes import crc_bits
-from fapolar.listdec import decode_rate0, decode_rate1, decode_rep, decode_spc
+from fapolar.listdec import _decode_info, decode_rate0, decode_rate1, decode_rep, decode_spc
 from fapolar.tree import NodeKind
 
 LLRS = st.floats(-2 * LLR_CLIP, 2 * LLR_CLIP, allow_nan=False)  # past the clip, with +-0.0
@@ -209,18 +209,58 @@ def test_rate1_spc_equal_split_by_split_form_in_order(inputs, kind):
 
 
 # ---------------------------------------------------------------------------
+# information pair: one gather vs its node's walk
+
+def unfolded_pair(metrics, llrs, list_size, f, mode):
+    """f, fork u0, g_func on the survivors' gathered messages, fork u1, combine."""
+    a, b = llrs[:, :1], llrs[:, 1:]
+    parent0, mu, u0 = _decode_info(metrics, f(a, b), list_size, f, mode)
+    parent1, mu, u1 = _decode_info(mu, g_func(a[parent0], b[parent0], u0), list_size, f, mode)
+    beta = np.concatenate((u0[parent1], u1), axis=1)
+    return parent0[parent1], mu, combine_bits(beta)
+
+
+@given(st.sampled_from([1, 2, 3, 4, 8, 32]), st.sampled_from(["approx", "exact"]), st.data())
+def test_pair_fold_equals_unfolded_pair_walk(list_size, mode, data):
+    # 4-bit levels and +-0.0: tied metrics and LLRs, and g sums of zeros
+    levels = np.concatenate([LEVELS16, [0.0, -0.0]])
+    paths = data.draw(st.integers(1, list_size))
+    metrics = data.draw(hnp.arrays(np.float64, paths, elements=st.sampled_from([0.0, 0.25, 0.5, 1.0])))
+    llrs = levels[data.draw(hnp.arrays(np.int8, (paths, 2), elements=st.integers(0, levels.size - 1)))]
+    f = f_exact if mode == "exact" else f_minsum
+    for got, want in zip(_decode_info(metrics, llrs, list_size, f, mode),
+                         unfolded_pair(metrics, llrs, list_size, f, mode), strict=True):
+        assert same_bits(got, want)  # parent, mu, beta
+
+
+# ---------------------------------------------------------------------------
 # kernels: out= forms
+
+def broadcast_shapes(draw):
+    """Shapes of two 2-D operands: one shape, or (r, 1) against (1, c), as the
+    design calls the box-plus on (T, S, 1) x (T, 1, S)."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    return draw(st.sampled_from([((rows, cols), (rows, cols)), ((rows, 1), (1, cols))]))
+
 
 @st.composite
 def operand_pairs(draw):
-    """Two operands of one shape: Python floats, lists, or 2-D arrays."""
+    """Two operands: Python floats, lists of one length, or 2-D arrays that broadcast."""
     form = draw(st.sampled_from(["scalar", "list", "array"]))
     if form == "scalar":
         return draw(LLRS), draw(LLRS)
-    shape = (draw(st.integers(1, 6)),) if form == "list" else \
-        (draw(st.integers(1, 4)), draw(st.integers(1, 6)))
-    a, b = (draw(hnp.arrays(np.float64, shape, elements=LLRS)) for _ in range(2))
-    return (a.tolist(), b.tolist()) if form == "list" else (a, b)
+    if form == "list":
+        shape = (draw(st.integers(1, 6)),)
+        return tuple(draw(hnp.arrays(np.float64, shape, elements=LLRS)).tolist() for _ in range(2))
+    return tuple(draw(hnp.arrays(np.float64, shape, elements=LLRS)) for shape in broadcast_shapes(draw))
+
+
+def draw_bits(data, a, b):
+    """Upper-branch bits of the operands' broadcast shape, of a's or b's own shape,
+    or with rows more than a and b have (as a root's bits against its channel half)."""
+    shape = np.broadcast(a, b).shape
+    shape = data.draw(st.sampled_from([shape, np.shape(a), np.shape(b), (3,) + shape]))
+    return data.draw(hnp.arrays(np.uint8, shape, elements=st.integers(0, 1)))
 
 
 def out_like(*operands):
@@ -243,9 +283,8 @@ def test_f_minsum_out_equals_allocating_form(ab):
 
 @given(operand_pairs(), st.data())
 def test_g_func_out_equals_allocating_form(ab, data):
-    shape = np.broadcast(*ab).shape
-    bit = data.draw(hnp.arrays(np.uint8, shape, elements=st.integers(0, 1)))
-    out = out_like(*ab)
+    bit = draw_bits(data, *ab)
+    out = out_like(*ab, bit)
     assert g_func(*ab, bit, out=out) is out
     assert same_bits(out, g_func(*ab, bit))
 
@@ -337,8 +376,8 @@ EDGE_LLRS = st.one_of(
 
 @st.composite
 def edge_operands(draw):
-    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 8)))
-    return tuple(draw(hnp.arrays(np.float64, shape, elements=EDGE_LLRS)) for _ in range(2))
+    return tuple(draw(hnp.arrays(np.float64, shape, elements=EDGE_LLRS))
+                 for shape in broadcast_shapes(draw))
 
 
 @given(edge_operands(), st.sampled_from([LLR_CLIP, np.inf]))
@@ -355,7 +394,7 @@ def test_f_minsum_equals_where_form(ab):
 
 @given(edge_operands(), st.data())
 def test_g_func_equals_where_form(ab, data):
-    bit = data.draw(hnp.arrays(np.uint8, ab[0].shape, elements=st.integers(0, 1)))
+    bit = draw_bits(data, *ab)
     assert same_bits(g_func(*ab, bit), g_func_where_form(*ab, bit))
 
 

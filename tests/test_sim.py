@@ -106,14 +106,31 @@ def test_decoder_spec_schedule_is_the_one_tree_field():
 SPELLINGS = {"sc": "sc", "": "sc", "fast": "fast", "r0,r1,rep,spc": "fast", "rep,r0": "r0,rep"}
 
 
+def spy_trees(monkeypatch):
+    """The trees that FrameDecoders built from here on were built on, in order
+    (the engine keeps none)."""
+    import fapolar.sim as sim
+
+    built = []
+
+    def build_tree(*args):
+        built.append(fp.build_tree(*args))
+        return built[-1]
+
+    monkeypatch.setattr(sim, "build_tree", build_tree)
+    return built
+
+
 @pytest.mark.parametrize("schedule", SPELLINGS)
-def test_schedule_spellings_build_one_tree(tmp_path, schedule):
+def test_schedule_spellings_build_one_tree(tmp_path, monkeypatch, schedule):
     # "sc" and "" prune nothing, "fast" all four kinds; the spec, and so the CSV
     # cell and the config hash, hold one spelling per tree
     text = SPELLINGS[schedule]
     code = fp.construct(64, 24, 8)
     spec = DecoderSpec(family="llr", schedule=schedule, list_size=2)
-    tree = FrameDecoder(code, spec).engine.tree
+    built = spy_trees(monkeypatch)
+    FrameDecoder(code, spec)
+    tree, = built
     assert tree.schedule_hash() == fp.build_tree(code, fp.parse_kinds(schedule)).schedule_hash()
     if schedule in ("sc", ""):
         assert tree.schedule_hash() == fp.sc_tree(code).schedule_hash()
@@ -189,6 +206,67 @@ def test_run_point_workers_stop_submitting_at_stop_batch(monkeypatch):
     assert submitted[: single.frames // 16] == [
         (a, a + 16) for a in range(0, single.frames, 16)]
     assert len(submitted) <= single.frames // 16 + 1
+
+
+def test_pool_has_no_more_workers_than_batches(monkeypatch):
+    # the pool forks all its workers at the first submit; a stub pool records
+    # its size and runs each job inline, so no process starts here
+    import fapolar.sim as sim
+    from concurrent.futures import Future
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(sim, "BATCH_FRAMES", 16)
+    code = fp.construct(32, 12, 4)
+    decoder = FrameDecoder(code, DecoderSpec(family="llr", list_size=2))
+    channel = ChannelModel(1.0, code.rate)
+    for max_frames, workers, pools in ((48, 8, [3]), (40, 3, [3]), (16, 4, []),
+                                       (100, 2, [2]), (5, 1, [])):
+        sizes.clear()
+        pooled = run_point(code, decoder, channel, seed=2, max_frames=max_frames, min_errors=0,
+                           workers=workers)
+        single = run_point(code, decoder, channel, seed=2, max_frames=max_frames, min_errors=0)
+        assert sizes == pools
+        assert (pooled.frames, pooled.block_errors) == (single.frames, single.block_errors)
+
+
+def test_built_decoder_keeps_no_tree():
+    # the engine's steps hold ids and column slices, and build_tree makes no
+    # reference cycle: the tree is freed by reference counting alone
+    import gc
+
+    from fapolar.tree import TreeNode
+
+    def live_nodes():
+        return sum(isinstance(obj, TreeNode) for obj in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = live_nodes()
+        code = fp.construct(1024, 512, 16)
+        decoder = FrameDecoder(code, DecoderSpec(family="llr", schedule="sc", list_size=32,
+                                                 metric_mode="exact"))
+        assert live_nodes() == before
+    finally:
+        gc.enable()
+    assert decoder.engine.steps
 
 
 def test_run_point_stops_on_errors(monkeypatch):
@@ -293,12 +371,13 @@ def test_sweep_statistical_sanity_decreasing_bler():
     assert blers[0] > blers[1] > blers[2]
 
 
-def test_empty_node_list_equals_sc_schedule():
+def test_empty_node_list_equals_sc_schedule(monkeypatch):
     code = fp.construct(64, 24, 8)
+    built = spy_trees(monkeypatch)
     fast_none = FrameDecoder(code, DecoderSpec(family="llr", schedule="", list_size=4))
     plain_sc = FrameDecoder(code, DecoderSpec(family="llr", schedule="sc",
                                               list_size=4))
-    assert fast_none.engine.tree.leaf_count == code.block_len
+    assert [tree.leaf_count for tree in built] == [code.block_len] * 2
     channel = ChannelModel(2.0, code.rate)
     a = run_point(code, fast_none, channel, seed=21, max_frames=512, min_errors=0)
     b = run_point(code, plain_sc, channel, seed=21, max_frames=512, min_errors=0)
