@@ -27,9 +27,9 @@ def _schedule(text):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _add_code_options(parser):
-    parser.add_argument("--n", type=int, required=True, help="block length (power of two)")
-    parser.add_argument("--k", type=int, required=True, help="payload bits")
+def _add_code_options(parser, required=True):
+    parser.add_argument("--n", type=int, required=required, help="block length (power of two)")
+    parser.add_argument("--k", type=int, required=required, help="payload bits")
     parser.add_argument("--crc", type=int, default=0, help="CRC bits (default 0)")
     parser.add_argument("--rate-profile", default=None, metavar="FILE",
                         help="reliability sequence file (default: packaged 5G NR sequence)")
@@ -142,11 +142,7 @@ def build_parser():
     p_sim = sub.add_parser("simulate", help="Monte-Carlo BLER sweep")
     p_sim.add_argument("--config", default=None, metavar="FILE",
                        help="JSON file with any of the other options")
-    p_sim.add_argument("--n", type=int, default=None)
-    p_sim.add_argument("--k", type=int, default=None)
-    p_sim.add_argument("--crc", type=int, default=0)
-    p_sim.add_argument("--rate-profile", default=None, metavar="FILE")
-    p_sim.add_argument("--crc-poly", default=None, metavar="HEX")
+    _add_code_options(p_sim, required=False)  # or from --lut / --config
     p_sim.add_argument("--decoder", choices=("llr", *LUT_VARIANTS),
                        help="decoder family (default: the --lut set's variant, else llr)")
     p_sim.add_argument("--lut", default=None, metavar="FILE")

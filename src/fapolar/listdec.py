@@ -281,10 +281,10 @@ class ListEngine:
         self.code = code
         self.cfg = cfg
         f = f_minsum if cfg.metric_mode == "approx" else f_exact
-        span_kind = span_kinds(code.frozen_mask)
+        kinds, n = span_kinds(code.frozen_mask), code.block_len  # in heap order
         for leaf in tree.schedule:  # a tree built for another frozen mask would mis-decode
             lo, end = leaf.span_start, leaf.span_start + leaf.size
-            if leaf.kind != span_kind(lo, leaf.size):
+            if kinds[n // leaf.size - 1 + lo // leaf.size] is not leaf.kind:
                 raise ValueError(f"{leaf.kind.value} leaf on positions {lo}..{end - 1} disagrees "
                                  "with the code's frozen mask")
         self.ops = _FloatOps(f, code.block_len) if lutset is None else _LutOps(code, tree, lutset)
@@ -309,8 +309,9 @@ class ListEngine:
         for run, args in self.steps:
             run(self, *args)
         order = np.argsort(self.mu, kind="stable")
-        x_hats = self.bits[order]
-        return DecodeResult(polar_transform(x_hats), x_hats, self.mu[order], *self.ops.tables)
+        x_hats, metrics = self.bits[order], self.mu[order]
+        del self.channel, self.msgs, self.bits, self.mu  # else pickled into every pool job
+        return DecodeResult(polar_transform(x_hats), x_hats, metrics, *self.ops.tables)
 
     def _compile(self, node, out, steps):
         """Append, in activation order, the (step function, arguments) pairs that

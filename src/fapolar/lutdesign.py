@@ -18,16 +18,17 @@ translation LLRs are symmetrized by averaging mirrored magnitudes.
 Every design step carries a leading table axis: ``build_f_table`` and
 ``build_g_table`` take a list of parent distributions and run one sort, one
 tie merge and one quantizer DP for all of them, rows with fewer groups
-padded with zero mass at the end. ``design_lutset`` batches the tables of
-each tree depth (``_batch_cap``): no batch needs more DP memory than the
-channel quantizer, which, like any table at w >= 6, is a batch of one. Each
-row's arithmetic is elementwise and in the order a lone table would use, so
-a table comes out the same, bit for bit, in any batch.
+padded with zero mass at the end. The DP's scratch holds a fixed cell count
+whatever the batch, and ``design_lutset`` batches each tree depth's tables
+(``_batch_cap``). Each row's arithmetic is elementwise and in the order a
+lone table would use, so a table comes out the same, bit for bit, in any
+batch.
 """
 
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 from scipy.special import ndtr
@@ -41,11 +42,8 @@ CHANNEL_GRID_CELLS = 2000
 # Meta-LLR spaces larger than this are pre-binned (mass quantiles) before the
 # quantizer DP; spaces at w <= 4 stay below it untouched.
 MAX_DESIGN_GROUPS = 512
-# Interval ends per block of the quantizer DP's cost fill and argmax steps.
-DP_BLOCK_ROWS = 64
-# Cells per scratch plane of one quantizer DP: the channel quantizer's block,
-# so a batch of tables never needs more scratch than the channel does.
-DP_BUDGET_CELLS = DP_BLOCK_ROWS * (CHANNEL_GRID_CELLS // 2 + 1)
+# Cells per scratch plane of one quantizer DP call: 16 ends of the channel's 1001 starts.
+DP_BUDGET_CELLS = 16 * (CHANNEL_GRID_CELLS // 2 + 1)
 
 LUTSET_FORMAT = "fapolar-lutset-v1"
 
@@ -151,7 +149,7 @@ def _merge_sorted(scores, joint):
     return group_scores, _sum_by(group_of, joint, group_scores.shape[1]), group_of, n_groups
 
 
-@lru_cache(maxsize=None)  # n <= DP_BLOCK_ROWS
+@lru_cache(maxsize=1)  # the tallest block's, sliced for the others
 def _upper_mask(n):
     """Read-only (n, n) mask of the entries on and above the diagonal."""
     mask = np.triu(np.ones((n, n), dtype=bool))
@@ -159,12 +157,12 @@ def _upper_mask(n):
     return mask
 
 
-def _cost_rows(p0, p1, j0, j1, scratch):
+def _cost_rows(p0, p1, j0, j1, scratch, upper):
     """cost[r, j, i] for ends j0 <= j < j1 and starts i < j1 of each row r, the MI
     (bits) of interval [i, j) from the cumulative masses p0, p1 (T, M+1), -inf
-    where i >= j; in scratch plane 3. Planes a, b (0, 1) take the bit masses,
-    a then term 1, and x (2) log2(px * (a + b)). A zero mass gives a +-0 term,
-    and a -0 only meets the other bit's +0 or nonzero term: no mask needed."""
+    where ``upper`` (i >= j); in scratch plane 3. Planes a, b (0, 1) take the bit
+    masses, a then term 1, and x (2) log2(px * (a + b)). A zero mass gives a +-0
+    term, and a -0 only meets the other bit's +0 or nonzero term: no mask needed."""
     n_rows = p0.shape[0]
     a, b, x, cost = scratch[:, :n_rows * (j1 - j0) * j1].reshape(4, n_rows, j1 - j0, j1)
     np.subtract(p0[:, j0:j1, None], p0[:, None, :j1], out=a)
@@ -177,7 +175,7 @@ def _cost_rows(p0, p1, j0, j1, scratch):
         np.multiply(mass, np.subtract(term, x, out=term), out=term)
     np.add(cost, a, out=cost)
     # forbid empty/backwards intervals
-    np.copyto(cost[:, :, j0:], -np.inf, where=_upper_mask(j1 - j0))
+    np.copyto(cost[:, :, j0:], -np.inf, where=upper)
     return cost
 
 
@@ -191,18 +189,18 @@ def _optimal_partition(joint, out_size, lengths=None):
     [s_last, lengths[r]).
 
     End-major DP over cost[r, j, i], the MI contribution (bits) of merging
-    observations [i, j), i < j. Ends go DP_BLOCK_ROWS at a time: a block's
-    cost rows are filled once for all T rows, then each of the out_size steps
-    takes a leftmost argmax along them, reading ``best`` of earlier ends only
-    (earlier blocks, or this block's previous step). The first interval's only
-    start is 0, so it takes no argmax; the last is taken only at each row's
-    length. A row's ends and starts beyond its length only meet its own
-    trailing zero mass, and each row's arithmetic is elementwise, so every row
-    gets the splits it would get alone, bit for bit. Time about K*M^2/2 per
-    row for K = out_size; memory four T * DP_BLOCK_ROWS * (M+1) scratch planes
-    for all blocks (``_cost_rows``', the third reused for the step candidates)
-    plus the (T, K+1, M+1) ``best`` table, never an (M+1)^2 matrix.
-    ``design_lutset`` keeps each plane within DP_BUDGET_CELLS.
+    observations [i, j), i < j. Ends go in blocks of DP_BUDGET_CELLS cells
+    (K/2 ends at least, as each block runs all K steps): narrow early blocks
+    take many ends, wide late ones few. A block's cost rows are filled once
+    for all T rows, then each of the out_size steps takes a leftmost argmax
+    along them, reading ``best`` of earlier ends only. The first interval's
+    only start is 0, so it takes no argmax; the last is taken only at each
+    row's length. A row's ends and starts beyond its length only meet its own
+    trailing zero mass, and each row's arithmetic is elementwise, so every
+    row gets the splits it would get alone, bit for bit, in any blocks. Time
+    about K*M^2/2 per row for K = out_size; memory four scratch planes of the
+    largest block (``_cost_rows``', the third for step candidates) and the
+    (T, K+1, M+1) ``best``, no (M+1)^2 matrix.
     """
     n_rows, _, width = joint.shape
     lengths = np.full(n_rows, width) if lengths is None else np.asarray(lengths)
@@ -214,16 +212,21 @@ def _optimal_partition(joint, out_size, lengths=None):
     np.cumsum(joint[:, 1], axis=1, out=p1[:, 1:])
     best = np.full((n_rows, out_size + 1, width + 1), -np.inf)  # best[r, k, j]: k intervals cover [0, j)
     best[:, 0, 0] = 0.0
-    back = np.zeros((n_rows, out_size, width + 1), dtype=np.int64)
+    back = np.zeros((n_rows, out_size, width + 1), dtype=np.min_scalar_type(width))
+    blocks, j0, cap = [], 1, DP_BUDGET_CELLS // n_rows
+    while j0 <= width:  # the most ends r whose n_rows * r * (j0 + r) cells fit, K/2 at least
+        r = max(1, out_size // 2, (isqrt(j0 * j0 + 4 * cap) - j0) // 2)
+        blocks.append((j0, min(j0 + r, width + 1)))
+        j0 = blocks[-1][1]
+    upper = _upper_mask(max(j1 - j0 for j0, j1 in blocks))
     # every block's temporaries, each contiguous: fresh ones per block re-fault
     # their pages each time, and strided views of (rows, M+1) planes are ~35% slower
-    scratch = np.empty((4, n_rows * min(DP_BLOCK_ROWS, width) * (width + 1)))
-    ends = np.arange(n_rows * min(DP_BLOCK_ROWS, width))
+    scratch = np.empty((4, n_rows * max((j1 - j0) * j1 for j0, j1 in blocks)))
+    ends = np.arange(n_rows * len(upper))
     rows = np.arange(n_rows)
     last = out_size - 1
-    for j0 in range(1, width + 1, DP_BLOCK_ROWS):
-        j1 = min(j0 + DP_BLOCK_ROWS, width + 1)
-        cost = _cost_rows(p0, p1, j0, j1, scratch)
+    for j0, j1 in blocks:
+        cost = _cost_rows(p0, p1, j0, j1, scratch, upper[:j1 - j0, :j1 - j0])
         np.add(cost[:, :, 0], best[:, 0, :1], out=best[:, 1, j0:j1])  # back stays 0
         for k in range(1, last):
             # interval k+1 ends at j: j must leave enough room on both sides
@@ -514,13 +517,14 @@ class LutSet:
 
 
 def _batch_cap(size):
-    """Tables of alphabet size ``size`` per design batch: as many as keep the
-    quantizer DP's scratch planes within DP_BUDGET_CELLS each. A g table has
-    at most size^2/4 positive score groups, the unordered pairs {t1, t2} with
-    L(t1) + L(t2) > 0 (every g score is such a sum, as -L(t) = L(mirror of t)),
-    and at most MAX_DESIGN_GROUPS after pre-binning; an f table has fewer."""
+    """Tables of alphabet size ``size`` per design batch: as many as let a DP block
+    hold 16 ends of the widest, as the channel's widest blocks do: 15 at w=4, 1 at
+    w >= 6. A g table has at most size^2/4 positive score groups, the unordered
+    pairs {t1, t2} with L(t1) + L(t2) > 0 (every g score is such a sum, as -L(t)
+    = L(mirror of t)), and at most MAX_DESIGN_GROUPS after binning; f has fewer."""
     groups = min(size * size // 4, MAX_DESIGN_GROUPS)
-    return max(1, DP_BUDGET_CELLS // (min(DP_BLOCK_ROWS, groups) * (groups + 1)))
+    ends = DP_BUDGET_CELLS // (CHANNEL_GRID_CELLS // 2 + 1)
+    return max(1, DP_BUDGET_CELLS // (min(ends, groups) * (groups + 1)))
 
 
 def design_lutset(code: PolarCode, tree: DecoderTree, variant: str,

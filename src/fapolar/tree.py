@@ -11,7 +11,8 @@ The schedule is the tuple of leaf ``TreeNode``s in activation order.
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate
+
+import numpy as np
 
 from .codes import PolarCode
 
@@ -28,26 +29,23 @@ SPECIAL_KINDS = (NodeKind.R0, NodeKind.R1, NodeKind.REP, NodeKind.SPC)
 ALL_NODE_KINDS = frozenset(SPECIAL_KINDS)
 
 
-def _span_kind(size: int, n_frozen: int, first_frozen, last_frozen) -> NodeKind:
-    """The rule on a span's frozen count and end bits, tie order R0, R1, Rep
-    (all frozen but the last), SPC (only the first frozen): single-bit spans
-    come out as R0/R1, the two-bit pattern (frozen, info) as Rep."""
-    if n_frozen in (0, size):
-        return NodeKind.R0 if n_frozen else NodeKind.R1
-    if n_frozen == size - 1 and not last_frozen:
-        return NodeKind.REP
-    return NodeKind.SPC if n_frozen == 1 and first_frozen else NodeKind.SC
-
-
 def span_kinds(frozen_mask):
-    """``kind(lo, size)``: the ``_span_kind`` of mask positions lo..lo+size-1."""
-    frozen = frozen_mask.tolist()
-    before = [0, *accumulate(frozen)]  # before[i]: frozen bits in positions 0..i-1
-
-    def kind(lo: int, size: int) -> NodeKind:
-        end = lo + size
-        return _span_kind(size, before[end] - before[lo], frozen[lo], frozen[end - 1])
-    return kind
+    """The NodeKind of every span of the full decode tree on ``frozen_mask``, a
+    list in heap order (the root first, node i's children at 2i+1 and 2i+2),
+    from each span's frozen count and end bits in one vectorized pass.
+    Tie order R0, R1, Rep (all frozen but the last), SPC (only the first
+    frozen): single bits come out as R0/R1, the two-bit (frozen, info) as Rep."""
+    frozen = np.asarray(frozen_mask, dtype=bool)
+    levels = np.arange(frozen.size.bit_length())
+    sizes = frozen.size >> np.repeat(levels, 1 << levels)
+    starts = (np.arange(sizes.size) + 1 - frozen.size // sizes) * sizes
+    ends = starts + sizes
+    before = np.concatenate(([0], np.cumsum(frozen)))
+    n_frozen = before[ends] - before[starts]
+    rules = [n_frozen == sizes, n_frozen == 0,  # one per SPECIAL_KINDS entry, in tie order
+             (n_frozen == sizes - 1) & ~frozen[ends - 1], (n_frozen == 1) & frozen[starts]]
+    kinds = np.array([*SPECIAL_KINDS, NodeKind.SC], dtype=object)
+    return kinds[np.select(rules, range(len(rules)), len(rules))].tolist()
 
 
 @dataclass(slots=True)
@@ -101,23 +99,24 @@ def build_tree(code: PolarCode, enabled_kinds=ALL_NODE_KINDS) -> DecoderTree:
     always terminate (as R0/R1). Edge and leaf ids follow activation order."""
     enabled = frozenset(NodeKind(k) for k in enabled_kinds)
     schedule, edge_kinds = [], []
-    root = _grow(0, code.block_len, 0, span_kinds(code.frozen_mask), enabled, schedule, edge_kinds)
+    kinds = span_kinds(code.frozen_mask)
+    root = _grow(0, 0, code.block_len, 0, kinds, enabled, schedule, edge_kinds)
     return DecoderTree(code.block_len, root, tuple(schedule), tuple(edge_kinds))
 
 
-def _grow(lo, size, depth, span_kind, enabled, schedule, edge_kinds) -> TreeNode:
-    """``build_tree``'s recursion. Not a closure: one that calls itself is a reference
-    cycle, which keeps the whole tree alive until the cyclic collector runs."""
-    kind = span_kind(lo, size)
+def _grow(heap, lo, size, depth, kinds, enabled, schedule, edge_kinds) -> TreeNode:
+    """``build_tree``'s recursion, at ``span_kinds`` entry ``heap``. Not a closure: one
+    that calls itself is a reference cycle, which keeps the tree alive until a collection."""
+    kind = kinds[heap]
     if size == 1 or (kind != NodeKind.SC and kind in enabled):
         schedule.append(TreeNode(depth, lo, size, kind, leaf_id=len(schedule)))
         return schedule[-1]
     half, f_edge_id = size // 2, len(edge_kinds)
     edge_kinds.append("f")
-    left = _grow(lo, half, depth + 1, span_kind, enabled, schedule, edge_kinds)
+    left = _grow(2 * heap + 1, lo, half, depth + 1, kinds, enabled, schedule, edge_kinds)
     g_edge_id = len(edge_kinds)
     edge_kinds.append("g")
-    right = _grow(lo + half, half, depth + 1, span_kind, enabled, schedule, edge_kinds)
+    right = _grow(2 * heap + 2, lo + half, half, depth + 1, kinds, enabled, schedule, edge_kinds)
     return TreeNode(depth, lo, size, kind, -1, f_edge_id, g_edge_id, left, right)
 
 

@@ -88,6 +88,26 @@ def test_tree_of_another_frozen_mask_refused(monkeypatch, n64_setup, n64_ib, sch
         ListEngine(other, tree, fp.ListConfig(list_size=8), lutset if family == "ib" else None)
 
 
+@pytest.mark.parametrize("schedule", ["sc", "fast"])
+def test_refusal_names_the_first_disagreeing_leaf_past_the_first(monkeypatch, n64_setup, schedule):
+    # the last two neighbouring bits that differ swap places: the leaf holding
+    # the first of them is the first to change kind, and the leaves before it
+    # (leaf 0 among them) still agree with the mask
+    code, sc, fast = n64_setup
+    tree = sc if schedule == "sc" else fast
+    pos = np.flatnonzero(code.frozen_mask[:-1] != code.frozen_mask[1:])[-1]
+    mask = code.frozen_mask.copy()
+    mask[[pos, pos + 1]] = mask[[pos + 1, pos]]
+    other = dataclasses.replace(code, frozen_mask=mask)
+    leaf = next(leaf for leaf in tree.schedule if leaf.span_start + leaf.size > pos)
+    assert leaf.leaf_id > 0
+    refuse_walk(monkeypatch)
+    first, last = leaf.span_start, leaf.span_start + leaf.size - 1
+    span = f"{leaf.kind.value} leaf on positions {first}..{last} "
+    with pytest.raises(ValueError, match=re.escape(span)):
+        ListEngine(other, tree, fp.ListConfig(list_size=8))
+
+
 def test_float_engine_folds_rep_spans_and_information_pairs(n64_setup, n64_ib):
     # float ops compile each interior rep span and information pair to one
     # step, with no f, g or combine step of its own; LUT ops read one table

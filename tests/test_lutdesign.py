@@ -160,18 +160,57 @@ def test_dp_matches_exhaustive_on_64_symbol_space():
     assert abs(dp_partition_mi(joint, 4) - exhaustive_best_partition(joint, 4)) < 1e-12
 
 
-def test_channel_design_peak_memory():
-    # four scratch planes of DP_BLOCK_ROWS * (M+1) floats for M = 1000 cells,
-    # reused by every block (2.4 MiB peak in all; six planes peaked at 3.35
-    # MiB); holding the (M+1)^2 cost matrix peaked at 11.7 MiB here, and the
-    # full-matrix DP at 54.7 MiB
+def traced_peak_mib(run):
+    """Peak MiB that ``run()`` allocates, traced by tracemalloc."""
     tracemalloc.start()
     try:
-        quantize_channel(0.5, 0.5, W4)
-        peak = tracemalloc.get_traced_memory()[1]
+        run()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
     finally:
         tracemalloc.stop()
-    assert peak < 2.75 * 2 ** 20
+
+
+def test_channel_design_peak_memory():
+    # four scratch planes of DP_BUDGET_CELLS = 16 * 1001 floats for M = 1000
+    # cells, reused by every block, each block as tall as fits them (0.89 MiB
+    # peak in all); four planes of 64 ends * 1001 peaked at 2.39 MiB, six at
+    # 3.35 MiB, the (M+1)^2 cost matrix at 11.7 MiB and the full-matrix DP at 54.7 MiB
+    assert traced_peak_mib(lambda: quantize_channel(0.5, 0.5, W4)) < 1.25
+
+
+def test_fast_msib_design_peak_memory():
+    # the batches of up to 15 w=4 g tables run in the same cell budget as the
+    # channel quantizer (1.05 MiB peak in all; 2.38 MiB with 64-end blocks)
+    code = fp.construct(1024, 512, 16)
+    tree = fp.build_tree(code)
+    assert traced_peak_mib(lambda: design_lutset(code, tree, "msib", 2.0, W4)) < 1.25
+
+
+def test_dp_blocks_fill_the_cell_budget(monkeypatch):
+    # each block of ends takes the most ends whose cost rows fit the budget,
+    # but out_size // 2 at least; the blocks tile ends 1..M
+    blocks = []
+    cost_rows = lutdesign._cost_rows
+
+    def recording(p0, p1, j0, j1, *args):
+        blocks.append((j0, j1))
+        return cost_rows(p0, p1, j0, j1, *args)
+
+    monkeypatch.setattr(lutdesign, "_cost_rows", recording)
+    rng = np.random.default_rng(5)
+    cases = [(1, 1000, 8), (15, 64, 8), (1, 512, 128), (3, 256, 16), (400, 64, 2)]
+    for n_rows, width, out_size in cases:
+        blocks.clear()
+        lutdesign._optimal_partition(rng.random((n_rows, 2, width)), out_size)
+        assert [j0 for j0, _ in blocks] == [1] + [j1 for _, j1 in blocks[:-1]]
+        assert blocks[-1][1] == width + 1
+        min_ends, cap = max(1, out_size // 2), lutdesign.DP_BUDGET_CELLS // n_rows
+        for j0, j1 in blocks:
+            r = j1 - j0
+            assert r >= min(min_ends, width + 1 - j0)
+            assert r <= min_ends or n_rows * r * j1 <= lutdesign.DP_BUDGET_CELLS
+            assert j1 == width + 1 or (r + 1) * (j0 + r + 1) > cap
+    assert lutdesign._batch_cap(SIZE4) == 15  # the README's 12 passes over 9 depths
 
 
 def test_quantize_rejects_too_small_space():

@@ -456,15 +456,19 @@ def matrix_partition(joint, out_size):
     return np.array(splits[::-1], dtype=np.int64), float(best[n_obs])
 
 
-# the module's block height, and smaller ones that put more block edges in reach
-DP_ROWS = [1, 2, 3, 7, lutdesign.DP_BLOCK_ROWS]
+# Ends in the first block of a one-row DP call, under a cell budget of
+# rows * (rows + 1): later blocks, wider, take fewer ends (at least one, and
+# out_size // 2). 1 gives one-end blocks, 2 to 7 a few ends per block, and 64
+# puts every end in one block up to 64 observations.
+DP_ROWS = [1, 2, 3, 7, 64]
 
 
 @st.composite
 def dp_joints(draw, rows, min_obs=1):
-    """(2, n_obs) masses, n_obs on both sides of the block height. Masses are
-    zero (all-zero columns make exact cost ties), near PROB_FLOOR, or ordinary."""
-    n_obs = draw(st.integers(max(min_obs, rows - 3), rows + 4))
+    """(2, n_obs) masses, n_obs across several blocks of the small budgets and
+    on both sides of the first block's height. Masses are zero (all-zero
+    columns make exact cost ties), near PROB_FLOOR, or ordinary."""
+    n_obs = draw(st.integers(min_obs, max(12, rows + 4)))
     mass = st.one_of(st.just(0.0), st.floats(1e-305, 1e-295), st.floats(1e-3, 1.0))
     return draw(hnp.arrays(np.float64, (2, n_obs), elements=mass, fill=st.nothing()))
 
@@ -475,7 +479,7 @@ def dp_joints(draw, rows, min_obs=1):
 def test_blocked_dp_equals_matrix_dp_bit_for_bit(rows, data):
     joint = data.draw(dp_joints(rows))
     n_obs = joint.shape[1]
-    with mock.patch.object(lutdesign, "DP_BLOCK_ROWS", rows):
+    with mock.patch.object(lutdesign, "DP_BUDGET_CELLS", rows * (rows + 1)):
         for out_size in range(1, n_obs + 1):
             (splits,), (value,) = lutdesign._optimal_partition(joint[None], out_size)
             ref_splits, ref_value = matrix_partition(joint, out_size)
@@ -496,7 +500,7 @@ def test_blocked_dp_batched_rows_equal_matrix_dp_bit_for_bit(rows, data):
     padded = np.zeros((len(joints), 2, max(lengths)))
     for row, joint in zip(padded, joints):
         row[:, :joint.shape[1]] = joint
-    with mock.patch.object(lutdesign, "DP_BLOCK_ROWS", rows):
+    with mock.patch.object(lutdesign, "DP_BUDGET_CELLS", rows * (rows + 1)):
         for out_size in range(1, min(lengths) + 1):
             splits, values = lutdesign._optimal_partition(padded, out_size, lengths)
             for joint, row_splits, value in zip(joints, splits, values):

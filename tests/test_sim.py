@@ -269,6 +269,22 @@ def test_built_decoder_keeps_no_tree():
     assert decoder.engine.steps
 
 
+def test_decoder_keeps_no_path_state_between_frames():
+    # sim pickles the decoder into every pool job: the last frame's path state
+    # (channel, msgs, bits, mu) must not ride along
+    import pickle
+
+    code = fp.construct(1024, 512, 16)
+    decoder = FrameDecoder(code, DecoderSpec(family="llr", schedule="sc", list_size=32,
+                                             metric_mode="exact"))
+    before = len(pickle.dumps(decoder))
+    channel = ChannelModel(2.0, code.rate)
+    _, _, y = noisy_frame(code, channel.sigma, 0)
+    decoder(y, channel.sigma)
+    assert len(pickle.dumps(decoder)) == before
+    assert not {"channel", "msgs", "bits", "mu"} & vars(decoder.engine).keys()
+
+
 def test_run_point_stops_on_errors(monkeypatch):
     import fapolar.sim as sim
 

@@ -28,7 +28,7 @@ def kinds(*names):
     ([0, 0, 0, 1], NodeKind.SC),
 ])
 def test_classify_span(mask, expected):
-    assert span_kinds(np.array(mask, dtype=bool))(0, len(mask)) == expected
+    assert span_kinds(np.array(mask, dtype=bool))[0] == expected  # the root span
 
 
 def test_classification_matches_definitions_on_random_spans():
@@ -36,7 +36,7 @@ def test_classification_matches_definitions_on_random_spans():
     for _ in range(300):
         size = int(rng.choice([1, 2, 4, 8, 16]))
         span = rng.integers(0, 2, size).astype(bool)
-        kind = span_kinds(span)(0, size)
+        kind = span_kinds(span)[0]
         rules = {
             NodeKind.R0: span.all(),
             NodeKind.R1: not span.any(),
@@ -59,6 +59,21 @@ def array_rule_kind(span):
     if span[0] and not span[1:].any():
         return NodeKind.SPC
     return NodeKind.SC
+
+
+def test_span_kinds_heap_order_matches_array_rule():
+    # entry 2^d - 1 + i is span i of size N / 2^d; its kind is the rule on its bits
+    rng = np.random.default_rng(21)
+    for block_len in (1, 2, 8, 64):
+        for _ in range(10):
+            mask = rng.random(block_len) < rng.uniform(0.1, 0.9)
+            kinds = span_kinds(mask)
+            assert len(kinds) == 2 * block_len - 1
+            for depth in range(block_len.bit_length()):
+                size = block_len >> depth
+                for i in range(1 << depth):
+                    span = mask[i * size:(i + 1) * size]
+                    assert kinds[(1 << depth) - 1 + i] == array_rule_kind(span)
 
 
 def array_rule_tree(code, enabled):
