@@ -15,14 +15,15 @@ Alphabets are kept sorted by LLR and exactly odd-symmetric: boundaries are
 designed on the nonnegative half of the score space and mirrored, and the
 translation LLRs are symmetrized by averaging mirrored magnitudes.
 
-Every design step carries a leading table axis: ``build_f_table`` and
-``build_g_table`` take a list of parent distributions and run one sort, one
-tie merge and one quantizer DP for all of them, rows with fewer groups
-padded with zero mass at the end. The DP's scratch holds a fixed cell count
-whatever the batch, and ``design_lutset`` batches each tree depth's tables
-(``_batch_cap``). Each row's arithmetic is elementwise and in the order a
-lone table would use, so a table comes out the same, bit for bit, in any
-batch.
+A tree depth's distributions are two stacked arrays, one row per node:
+translation LLRs (T, S) and joints (T, 2, S). ``build_f_table`` and
+``build_g_table`` take a batch of parent rows and run one sort, one tie merge
+and one quantizer DP for all of them, rows with fewer groups padded with zero
+mass at the end, and return their outputs' rows, checked once per batch
+(``_check_dists``). The DP's scratch holds a fixed cell count whatever the
+batch, and ``design_lutset`` batches each depth's rows (``_batch_cap``). Each
+row's arithmetic is elementwise and in the order a lone table would use, so a
+table comes out the same, bit for bit, in any batch.
 """
 
 import json
@@ -31,7 +32,6 @@ from functools import lru_cache
 from math import isqrt
 
 import numpy as np
-from scipy.special import ndtr
 
 from .arith import f_exact
 from .codes import PolarCode
@@ -52,6 +52,27 @@ class LutDesignError(ValueError):
     pass
 
 
+# what a row of translation LLRs (T, S) or joints (T, 2, S) must be, in checking order
+DIST_RULES = ("translation LLRs must be finite", "translation LLRs must be strictly increasing",
+              "translation LLRs must be odd-symmetric", "joint must be a distribution")
+
+
+def _check_dists(llr, joint=None):
+    """Raise a ``LutDesignError`` for the first row of ``llr`` (T, S), and of
+    ``joint`` (T, 2, S) if given, that breaks a rule: even alphabet size >= 2,
+    then ``DIST_RULES``, the text of the first rule that row breaks."""
+    if llr.ndim != 2 or llr.shape[1] < 2 or llr.shape[1] % 2:
+        raise LutDesignError("alphabet size must be even and >= 2")
+    with np.errstate(invalid="ignore"):  # inf - inf, in a row refused as not finite
+        bad = np.stack([~np.isfinite(llr).all(axis=1),
+                        ~(np.diff(llr, axis=1) > 0).all(axis=1),
+                        ~(llr == -llr[:, ::-1]).all(axis=1),
+                        np.zeros(len(llr), dtype=bool) if joint is None else
+                        (joint < 0).any(axis=(1, 2)) | (abs(joint.sum(axis=(1, 2)) - 1.0) > 1e-9)])
+    if bad.any():
+        raise LutDesignError(DIST_RULES[np.argmax(bad[:, np.argmax(bad.any(axis=0))])])
+
+
 @dataclass(frozen=True)
 class MessageAlphabet:
     """Integer message alphabet with its translation LLRs."""
@@ -61,34 +82,7 @@ class MessageAlphabet:
     def __post_init__(self):
         llr = np.asarray(self.llr_table, dtype=np.float64)
         object.__setattr__(self, "llr_table", llr)
-        if llr.size < 2 or llr.size % 2:
-            raise LutDesignError("alphabet size must be even and >= 2")
-        if not np.all(np.isfinite(llr)):
-            raise LutDesignError("translation LLRs must be finite")
-        if not np.all(np.diff(llr) > 0):
-            raise LutDesignError("translation LLRs must be strictly increasing")
-        if not np.array_equal(llr, -llr[::-1]):
-            raise LutDesignError("translation LLRs must be odd-symmetric")
-
-    @property
-    def size(self) -> int:
-        return self.llr_table.size
-
-
-@dataclass(frozen=True)
-class MessageDist:
-    """Joint distribution p(x, t) of a bit and a message, with the alphabet."""
-
-    alphabet: MessageAlphabet
-    joint: np.ndarray
-
-    def __post_init__(self):
-        joint = np.asarray(self.joint, dtype=np.float64)
-        object.__setattr__(self, "joint", joint)
-        if joint.shape != (2, self.alphabet.size):
-            raise LutDesignError("joint shape must be (2, alphabet size)")
-        if np.any(joint < 0) or abs(joint.sum() - 1.0) > 1e-9:
-            raise LutDesignError("joint must be a distribution")
+        _check_dists(llr[None])
 
 
 def symmetrize_llrs(llr_table) -> np.ndarray:
@@ -284,15 +278,18 @@ def _positive_groups(scores, joint):
     space is symmetric, and gather the strictly positive groups' masses.
 
     Returns (order, group_of, n_pos, n_zero, right): the stable sort order,
-    each sorted observation's group, the counts of positive groups (as many
-    as negative ones) and of zero-score groups (0 or 1), and the (T, 2, P)
-    masses of each row's positive groups, padded with zero mass to the
-    widest row. The merged scores and masses are freed on return, before the
-    quantizer DP allocates its scratch.
+    each sorted observation's group (both in the narrowest signed integer
+    type that holds a row's positions), the counts of positive groups (as
+    many as negative ones) and of zero-score groups (0 or 1), and the
+    (T, 2, P) masses of each row's positive groups, padded with zero mass to
+    the widest row. The merged scores and masses are freed on return, before
+    the quantizer DP allocates its scratch.
     """
-    order = np.argsort(scores, axis=1, kind="stable")
+    position = np.min_scalar_type(-scores.shape[1])
+    order = np.argsort(scores, axis=1, kind="stable").astype(position)
     g_scores, g_joint, group_of, n_groups = _merge_sorted(
         np.take_along_axis(scores, order, axis=1), np.take_along_axis(joint, order[:, None], axis=2))
+    group_of = group_of.astype(position)
     idx = np.arange(g_scores.shape[1])
     n_neg = np.count_nonzero(g_scores < 0, axis=1)
     n_zero = np.count_nonzero((g_scores == 0) & (idx < n_groups[:, None]), axis=1)
@@ -317,7 +314,7 @@ def _design_symmetric(scores, joint, out_size, zero_upper=None, max_groups=MAX_D
     ``zero_upper`` (n,) so that mirror pairs split evenly. Rows with fewer
     positive groups are padded with zero mass for the one quantizer DP.
 
-    Returns (level_of_obs (T, n), [MessageDist] * T).
+    Returns level_of_obs (T, n) and the outputs' (llr, joint) of ``_output_dists``.
     """
     scores = np.asarray(scores, dtype=np.float64)
     joint = np.asarray(joint, dtype=np.float64)
@@ -328,6 +325,7 @@ def _design_symmetric(scores, joint, out_size, zero_upper=None, max_groups=MAX_D
     # which keeps every level's aggregate LLR strictly away from its
     # neighbours'.
     order, group_of, n_pos, n_zero, right = _positive_groups(scores, joint)
+    del scores  # f and g callers pass theirs in unnamed: freed here, before the DP
     binned, bin_of, n_bins = _prebin_groups(right, n_pos, max_groups)
     if n_bins.min() < half_out:
         raise LutDesignError("not enough distinct score levels for the alphabet")
@@ -352,24 +350,27 @@ def _design_symmetric(scores, joint, out_size, zero_upper=None, max_groups=MAX_D
                                 level_sorted)
     level_of_obs = np.empty((n_rows, n_obs), dtype=np.int64)
     np.put_along_axis(level_of_obs, order, level_sorted, axis=1)
-    return level_of_obs, _output_dists(level_of_obs, joint, out_size)
+    return level_of_obs, *_output_dists(level_of_obs, joint, out_size)
 
 
 def _output_dists(level_of_obs, joint, out_size):
-    """Per row, the distribution of the messages that ``level_of_obs`` gives the
-    observations; each alphabet is checked as it is built."""
+    """Translation LLRs (T, out_size) and joints (T, 2, out_size) of the messages
+    that ``level_of_obs`` gives each row's observations, checked once for the batch."""
     joint_out = _sum_by(level_of_obs, joint, out_size)
-    llrs = symmetrize_llrs(_llrs_from_joint(joint_out))
-    return [MessageDist(MessageAlphabet(llr), p) for llr, p in zip(llrs, joint_out)]
+    llr = symmetrize_llrs(_llrs_from_joint(joint_out))
+    _check_dists(llr, joint_out)
+    return llr, joint_out
 
 
 def quantize_channel(design_ebn0_db, rate, w):
     """MI-maximizing quantizer of the binary-input AWGN channel.
 
-    Returns (thresholds, MessageDist): ``thresholds`` are the 2^w - 1 sorted
+    Returns (thresholds, llr, joint): ``thresholds`` are the 2^w - 1 sorted
     real boundaries on the channel output; a received value maps to the count
-    of thresholds strictly below it.
+    of thresholds strictly below it, a message whose translation LLR is
+    llr[t] (2^w,) and whose joint with the code bit is joint[:, t] (2, 2^w).
     """
+    from scipy.special import ndtr  # not at module level: it is most of `import fapolar`
     if w < 1:
         raise LutDesignError("bit width must be >= 1")
     if not 0 < rate <= 1:
@@ -391,18 +392,13 @@ def quantize_channel(design_ebn0_db, rate, w):
     # as the cell-mass posterior, exactly antisymmetric, and free of ties even
     # where far-tail cell masses underflow.
     centers = (edges[:-1] + edges[1:]) / (2.0 * sigma2) * 2.0
-    (level_of_obs,), (dist,) = _design_symmetric(centers[None], joint[None], 1 << w, max_groups=None)
+    (level_of_obs,), (llr,), (out,) = _design_symmetric(centers[None], joint[None], 1 << w,
+                                                        max_groups=None)
     steps = np.diff(level_of_obs)
     if np.any(steps < 0):
         raise LutDesignError("channel quantizer mapping is not monotone")
     # a threshold is the grid edge between two cells of adjacent levels
-    return edges[1:-1][steps > 0], dist
-
-
-def _stack(dists):
-    """(T, size) translation LLRs and (T, 2, size) joints of parent distributions
-    of one alphabet size."""
-    return (np.stack([d.alphabet.llr_table for d in dists]), np.stack([d.joint for d in dists]))
+    return edges[1:-1][steps > 0], llr, out
 
 
 def _f_pair_joint(p):
@@ -415,62 +411,61 @@ def _f_pair_joint(p):
     ], axis=1).reshape(p.shape[0], 2, -1)
 
 
-def build_f_table(dists):
-    """Decoding tables for upper-branch (f) updates, one per parent distribution
-    in ``dists`` (one alphabet size), designed together: the two messages t1,
-    t2 of an update follow its parent; the output keeps the alphabet size.
+def build_f_table(llr, p):
+    """Decoding tables for upper-branch (f) updates, one per parent row of
+    translation LLRs ``llr`` (T, S) and joints ``p`` (T, 2, S), designed
+    together: the two messages t1, t2 of an update follow its parent; the
+    output keeps the alphabet size.
 
     The relevant bit is the XOR of the two branch bits; the pair is scored
-    with the exact box-plus on the translation LLRs. Returns (mappings,
-    [MessageDist]), mappings[r, t1, t2] = t_out for parent r.
+    with the exact box-plus on the translation LLRs. Returns mappings[r, t1,
+    t2] = t_out for parent r, then the outputs' (llr, joint) rows.
     """
-    llr, p = _stack(dists)
     size = llr.shape[1]
+    t1_upper = np.broadcast_to((np.arange(size) >= size // 2)[:, None], (size, size))
     # unclipped scores: these are sort keys, and clipping would alias
     # distinct levels once deep distributions saturate; below ~1e-8 the
     # box-plus of two LLRs can cancel to 0 in float: those take t1's side
-    scores = f_exact(llr[:, :, None], llr[:, None, :], clip=np.inf)
-    t1_upper = np.broadcast_to((np.arange(size) >= size // 2)[:, None], (size, size))
-    level_of_obs, outs = _design_symmetric(scores.reshape(len(llr), -1), _f_pair_joint(p), size,
-                                           zero_upper=t1_upper.ravel())
-    return level_of_obs.reshape(-1, size, size).astype(np.int16), outs
+    level_of_obs, *out = _design_symmetric(
+        f_exact(llr[:, :, None], llr[:, None, :], clip=np.inf).reshape(len(llr), -1),
+        _f_pair_joint(p), size, zero_upper=t1_upper.ravel())
+    return level_of_obs.reshape(-1, size, size).astype(np.int16), *out
 
 
-def _msib_f_dist(dists):
-    """Outputs of MSIB f updates on ``dists``: min-sum scores take exactly 2^w
-    values, one level each, so the designed mapping is the index rule."""
-    _, p = _stack(dists)
+def _msib_f_dist(p):
+    """(llr, joint) outputs of MSIB f updates on parent joints ``p`` (T, 2, S):
+    min-sum scores take exactly 2^w values, one level each, so the designed
+    mapping is the index rule."""
     size = p.shape[2]
     idx = np.arange(size)
     level_of_obs = msib_f_index(idx[:, None], idx[None, :], size).ravel()
     return _output_dists(np.broadcast_to(level_of_obs, (len(p), size * size)), _f_pair_joint(p), size)
 
 
-def build_g_table(dists):
-    """Decoding tables for lower-branch (g) updates, one per parent distribution
-    in ``dists`` (one alphabet size), designed together: the two messages t1,
-    t2 of an update follow its parent; the output keeps the alphabet size.
+def build_g_table(llr, p):
+    """Decoding tables for lower-branch (g) updates, one per parent row of
+    translation LLRs ``llr`` (T, S) and joints ``p`` (T, 2, S), designed
+    together: the two messages t1, t2 of an update follow its parent; the
+    output keeps the alphabet size.
 
     The relevant bit is the lower-branch bit; the upper-branch bit b is
     assumed correctly fed back at design time. The observation (t1, t2, b) is
     scored with (-1)^b * L(t1) + L(t2), which is exact (no min-sum
-    counterpart). Returns (mappings, [MessageDist]), mappings[r, t1, t2, b]
-    = t_out for parent r.
+    counterpart). Returns mappings[r, t1, t2, b] = t_out for parent r, then
+    the outputs' (llr, joint) rows.
     """
-    llr, p = _stack(dists)
     n_rows, size = llr.shape
     # p(x, t1, t2, b) = p[b ^ x, t1] * p[x, t2]
     joint = np.empty((n_rows, 2, size, size, 2))
     for x in (0, 1):
         for b in (0, 1):
             joint[:, x, :, :, b] = p[:, b ^ x, :, None] * p[:, x, None, :]
-    scores = np.empty((n_rows, size, size, 2))
-    scores[..., 0] = llr[:, :, None] + llr[:, None, :]
-    scores[..., 1] = -llr[:, :, None] + llr[:, None, :]
     t1_upper = np.broadcast_to((np.arange(size) >= size // 2)[:, None, None], (size, size, 2))
-    level_of_obs, outs = _design_symmetric(scores.reshape(n_rows, -1), joint.reshape(n_rows, 2, -1),
-                                           size, zero_upper=t1_upper.ravel())
-    return level_of_obs.reshape(-1, size, size, 2).astype(np.int16), outs
+    level_of_obs, *out = _design_symmetric(
+        np.stack([llr[:, :, None] + llr[:, None, :], -llr[:, :, None] + llr[:, None, :]],
+                 axis=-1).reshape(n_rows, -1),
+        joint.reshape(n_rows, 2, -1), size, zero_upper=t1_upper.ravel())
+    return level_of_obs.reshape(-1, size, size, 2).astype(np.int16), *out
 
 
 def msib_f_index(t1, t2, alphabet_size: int):
@@ -537,35 +532,38 @@ def design_lutset(code: PolarCode, tree: DecoderTree, variant: str,
     its output distribution directly. The distribution arriving at each leaf
     provides that leaf's translation table.
 
-    The tree is walked one depth at a time: the inner nodes of a depth are
-    split into as few equal batches as ``_batch_cap`` allows, and each batch
-    is one ``build_g_table`` call (and one ``build_f_table`` or
-    ``_msib_f_dist`` call), so the cost follows the depth count, not the
-    table count. Each table comes out as it would alone, bit for bit.
+    The tree is walked one depth at a time, one (llr, joint) row per node:
+    the inner rows are split into as few equal batches as ``_batch_cap``
+    allows, and each batch is one ``build_g_table`` call (and one
+    ``build_f_table`` or ``_msib_f_dist`` call), so the cost follows the depth
+    count, not the table count. Each table comes out as it would alone.
     """
     if variant not in LUT_VARIANTS:
         raise LutDesignError(f"unknown variant {variant!r}")
-    thresholds, channel = quantize_channel(design_ebn0_db, code.rate, w)
+    thresholds, llr, joint = quantize_channel(design_ebn0_db, code.rate, w)
     decoding, translation = {}, {}
-    cap = _batch_cap(channel.alphabet.size)
-    level = [(tree.root, channel)]
-    while level:
-        inner = [(node, dist) for node, dist in level if not node.is_leaf]
-        translation.update((node.leaf_id, dist.alphabet.llr_table)
-                           for node, dist in level if node.is_leaf)
-        level = []
-        n_batches = -(-len(inner) // cap)
+    cap = _batch_cap(llr.size)
+    nodes, llr, joint = [tree.root], llr[None], joint[None]  # a depth's nodes, one row each
+    while nodes:
+        translation.update((node.leaf_id, row) for node, row in zip(nodes, llr) if node.is_leaf)
+        inner = [i for i, node in enumerate(nodes) if not node.is_leaf]
+        nodes, llr, joint = [nodes[i] for i in inner], llr[inner], joint[inner]
+        f_outs, g_outs = [], []
+        n_batches = -(-len(nodes) // cap)
         for i in range(n_batches):
-            nodes, dists = zip(*inner[i * len(inner) // n_batches:(i + 1) * len(inner) // n_batches])
+            rows = slice(i * len(nodes) // n_batches, (i + 1) * len(nodes) // n_batches)
             if variant == "ib":
-                f_maps, f_dists = build_f_table(dists)
-                decoding.update(zip((node.f_edge_id for node in nodes), f_maps))
+                f_maps, *f_out = build_f_table(llr[rows], joint[rows])
+                decoding.update(zip((node.f_edge_id for node in nodes[rows]), f_maps))
             else:
-                f_dists = _msib_f_dist(dists)
-            g_maps, g_dists = build_g_table(dists)
-            decoding.update(zip((node.g_edge_id for node in nodes), g_maps))
-            level += [*zip((node.left for node in nodes), f_dists),
-                      *zip((node.right for node in nodes), g_dists)]
+                f_out = _msib_f_dist(joint[rows])
+            g_maps, *g_out = build_g_table(llr[rows], joint[rows])
+            decoding.update(zip((node.g_edge_id for node in nodes[rows]), g_maps))
+            f_outs.append(f_out)
+            g_outs.append(g_out)
+        nodes = [node.left for node in nodes] + [node.right for node in nodes]
+        if nodes:
+            llr, joint = map(np.concatenate, zip(*f_outs, *g_outs))
     return LutSet(
         block_len=code.block_len,
         payload_len=code.payload_len,
@@ -672,8 +670,9 @@ def load_lutset(path) -> LutSet:
             alphabet = MessageAlphabet(llrs)
         except (LutDesignError, TypeError, ValueError) as err:
             raise LutDesignError(f"translation table {key}: {err}") from None
-        if alphabet.size != size:
-            raise LutDesignError(f"translation table {key}: {alphabet.size} LLRs, w={w} needs {size}")
+        if alphabet.llr_table.size != size:
+            raise LutDesignError(f"translation table {key}: {alphabet.llr_table.size} LLRs, "
+                                 f"w={w} needs {size}")
         translation[table_id] = alphabet.llr_table
     raw_ebn0 = _field(doc, "design_ebn0_db", int, float)
     try:

@@ -227,7 +227,7 @@ def test_criterion_07_quantizer_optimality():
         assert abs(_partition_mi(joint, splits) - best) <= 1e-12
         checked += 1
 
-    _, dist = quantize_channel(0.5, 0.5, 4)
+    _, _, joint = quantize_channel(0.5, 0.5, 4)
     sigma = ChannelModel(0.5, 0.5).sigma
     span = 1.0 + 6.0 * sigma
     half = np.linspace(0.0, span, 1001)
@@ -236,7 +236,7 @@ def test_criterion_07_quantizer_optimality():
     grid_joint = np.stack([mass0, mass0[::-1]]) * 0.5
     grid_joint /= grid_joint.sum()
     grid_mi = _mi_bits(grid_joint)
-    got = _mi_bits(dist.joint)
+    got = _mi_bits(joint)
     assert got <= grid_mi <= 1.0
     assert got >= 0.99 * grid_mi
 

@@ -9,7 +9,9 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Run in a fresh interpreter: records every import statement executed by a
-# fapolar module while ``fapolar`` and ``fapolar.cli`` load. Modules that
+# fapolar module while ``fapolar`` and ``fapolar.cli`` load and while the
+# channel quantizer runs (it imports scipy.special when first called), and
+# whether scipy.special was loaded by the package import itself. Modules that
 # numpy and scipy load for themselves are theirs, not the package's.
 PROBE = """
 import builtins, json, sys
@@ -22,7 +24,9 @@ def recording_import(name, globals=None, locals=None, fromlist=(), level=0):
 
 builtins.__import__ = recording_import
 import fapolar, fapolar.cli
-print(json.dumps(sorted(seen)))
+special_at_import = "scipy.special" in sys.modules
+fapolar.lutdesign.quantize_channel(0.5, 0.5, 1)
+print(json.dumps({"imported": sorted(seen), "special_at_import": special_at_import}))
 """
 
 
@@ -30,6 +34,8 @@ def test_package_imports_only_numpy_and_scipy_beyond_the_standard_library():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", PROBE], capture_output=True, text=True, env=env,
                           timeout=120, check=True)
-    imported = set(json.loads(proc.stdout.splitlines()[-1]))
-    third_party = imported - set(sys.stdlib_module_names) - {"fapolar"}
+    probe = json.loads(proc.stdout.splitlines()[-1])
+    third_party = set(probe["imported"]) - set(sys.stdlib_module_names) - {"fapolar"}
     assert third_party == {"numpy", "scipy"}
+    # scipy.special is most of the import time, and only the LUT design uses it
+    assert not probe["special_at_import"]

@@ -16,11 +16,12 @@ from fapolar.arith import f_exact, f_minsum
 from fapolar.lutdesign import (
     LutDesignError,
     MessageAlphabet,
-    MessageDist,
+    _check_dists,
     _design_symmetric,
     _merge_sorted,
     _msib_f_dist,
     _optimal_partition,
+    _output_dists,
     build_f_table,
     build_g_table,
     design_lutset,
@@ -115,6 +116,48 @@ def test_message_alphabet_invariants():
         MessageAlphabet(np.array([-np.inf, -1.0, 1.0, np.inf]))
 
 
+SYMMETRIC4 = [-2.0, -1.0, 1.0, 2.0]
+GOOD_JOINT4 = np.array([[0.05, 0.1, 0.15, 0.2], [0.2, 0.15, 0.1, 0.05]])
+
+
+@pytest.mark.parametrize("bad_llr,bad_joint,message", [
+    ([-np.inf, -1.0, 1.0, np.inf], GOOD_JOINT4, "finite"),
+    ([-2.0, 1.0, -1.0, 2.0], GOOD_JOINT4, "strictly increasing"),
+    ([-2.0, -1.0, 1.0, 2.5], GOOD_JOINT4, "odd-symmetric"),
+    (SYMMETRIC4, GOOD_JOINT4 * 1.5, "joint must be a distribution"),
+    (SYMMETRIC4, GOOD_JOINT4 * [[1.0], [-1.0]], "joint must be a distribution"),
+], ids=["finite", "increasing", "symmetric", "mass", "negative"])
+def test_batch_check_names_the_first_bad_rows_rule(bad_llr, bad_joint, message):
+    # one check per batch: a bad row after good ones raises its rule's text,
+    # and a later row breaking an earlier rule does not take its place
+    llr = np.array([SYMMETRIC4, SYMMETRIC4, bad_llr, [-np.inf, 1.0, -1.0, np.nan]])
+    joint = np.stack([GOOD_JOINT4, GOOD_JOINT4, bad_joint, GOOD_JOINT4 * 2])
+    _check_dists(llr[:2], joint[:2])
+    with pytest.raises(LutDesignError, match=re.escape(message)) as err:
+        _check_dists(llr, joint)
+    assert str(err.value) in lutdesign.DIST_RULES
+
+
+def test_batch_check_refuses_an_odd_or_one_level_alphabet():
+    # the size rule holds for the whole batch: every row has its width
+    for width in (1, 3):
+        llr = np.tile(np.linspace(-1.0, 1.0, width), (3, 1))
+        with pytest.raises(LutDesignError, match="alphabet size must be even and >= 2"):
+            _check_dists(llr, np.full((3, 2, width), 0.5 / width))
+    with pytest.raises(LutDesignError, match="alphabet size must be even and >= 2"):
+        MessageAlphabet(np.array(SYMMETRIC4 * 2).reshape(2, 4))  # a nested list is no alphabet
+
+
+def test_output_dists_checks_each_row_of_the_batch():
+    # the second row's two lowest levels carry equal LLRs
+    joint = np.stack([GOOD_JOINT4, [[0.1, 0.1, 0.15, 0.15], [0.15, 0.15, 0.1, 0.1]]])
+    levels = np.tile(np.arange(4), (2, 1))
+    llr, out = _output_dists(levels[:1], joint[:1], 4)
+    assert llr.shape == (1, 4) and out.shape == (1, 2, 4)
+    with pytest.raises(LutDesignError, match="translation LLRs must be strictly increasing"):
+        _output_dists(levels, joint, 4)
+
+
 def test_symmetrize_averages_mirrored_magnitudes():
     out = symmetrize_llrs(np.array([-3.0, -1.0, 1.5, 2.0]))
     assert out.tolist() == [-2.5, -1.25, 1.25, 2.5]
@@ -161,7 +204,9 @@ def test_dp_matches_exhaustive_on_64_symbol_space():
 
 
 def traced_peak_mib(run):
-    """Peak MiB that ``run()`` allocates, traced by tracemalloc."""
+    """Peak MiB that ``run()`` allocates, traced by tracemalloc. scipy.special,
+    which ``quantize_channel`` imports on its first call, is imported above, so
+    its import is not traced."""
     tracemalloc.start()
     try:
         run()
@@ -180,10 +225,12 @@ def test_channel_design_peak_memory():
 
 def test_fast_msib_design_peak_memory():
     # the batches of up to 15 w=4 g tables run in the same cell budget as the
-    # channel quantizer (1.05 MiB peak in all; 2.38 MiB with 64-end blocks)
+    # channel quantizer, and no f or g score array or int64 sort index is held
+    # through the DP (0.92 MiB peak in all; 1.04 MiB holding them, 2.38 MiB with
+    # 64-end blocks)
     code = fp.construct(1024, 512, 16)
     tree = fp.build_tree(code)
-    assert traced_peak_mib(lambda: design_lutset(code, tree, "msib", 2.0, W4)) < 1.25
+    assert traced_peak_mib(lambda: design_lutset(code, tree, "msib", 2.0, W4)) < 1.05
 
 
 def test_dp_blocks_fill_the_cell_budget(monkeypatch):
@@ -224,25 +271,25 @@ def test_quantize_rejects_too_small_space():
 # channel quantizer
 
 def test_channel_alphabet_exactly_symmetric(channel4):
-    _, dist = channel4
-    llr = dist.alphabet.llr_table
+    _, llr, joint = channel4
+    assert llr.shape == (SIZE4,) and joint.shape == (2, SIZE4)
     assert np.array_equal(llr, -llr[::-1])
     assert np.all(np.diff(llr) > 0)
     # joint masses mirror up to summation order
-    assert np.allclose(dist.joint[0], dist.joint[1][::-1], rtol=0, atol=1e-15)
+    assert np.allclose(joint[0], joint[1][::-1], rtol=0, atol=1e-15)
 
 
 def test_channel_thresholds_sorted_and_symmetric(channel4):
-    thresholds, _ = channel4
+    thresholds, _, _ = channel4
     assert thresholds.size == SIZE4 - 1
     assert np.all(np.diff(thresholds) > 0)
     assert np.array_equal(thresholds, -thresholds[::-1])
 
 
 def test_channel_mi_within_data_processing_bounds(channel4):
-    _, dist = channel4
+    _, _, joint = channel4
     grid_mi = fine_grid_channel_mi(0.5, 0.5)
-    got = mi_bits(dist.joint)
+    got = mi_bits(joint)
     assert got <= grid_mi <= 1.0
     assert got >= 0.99 * grid_mi
 
@@ -256,7 +303,7 @@ def test_channel_rejects_bad_parameters():
         quantize_channel(0.5, 0.5, 9)  # 2^9 levels need > 2000 grid cells
 
 
-# sha256 of thresholds.tobytes() + dist.joint.tobytes(), recorded while the
+# sha256 of thresholds.tobytes() + joint.tobytes(), recorded while the
 # thresholds were still read off the DP split indices instead of the level map
 CHANNEL_DIGESTS = {
     (-2.0, 0.25, 1): "ea45f4eb3c2d6a139f701843d947caf6b7f0f29919f7d65dc83f77668d2e851f",
@@ -300,8 +347,8 @@ def test_channel_quantizer_refuses_ebn0_without_noise_variance(ebn0_db, message)
 
 @pytest.mark.parametrize("ebn0_db,rate,w", CHANNEL_DIGESTS)
 def test_channel_quantizer_bytes_pinned(ebn0_db, rate, w):
-    thresholds, dist = quantize_channel(ebn0_db, rate, w)
-    digest = hashlib.sha256(thresholds.tobytes() + dist.joint.tobytes()).hexdigest()
+    thresholds, _, joint = quantize_channel(ebn0_db, rate, w)
+    digest = hashlib.sha256(thresholds.tobytes() + joint.tobytes()).hexdigest()
     assert digest == CHANNEL_DIGESTS[ebn0_db, rate, w]
 
 
@@ -309,14 +356,13 @@ def test_channel_quantizer_bytes_pinned(ebn0_db, rate, w):
 # f / g tables
 
 def test_f_table_symmetric_output_and_mi_bound(channel4):
-    _, dist = channel4
-    (mapping,), (out,) = build_f_table([dist])
+    _, llr, joint = channel4
+    (mapping,), ib_llr, ib_joint = build_f_table(llr[None], joint[None])
     assert mapping.shape == (SIZE4, SIZE4)
     assert set(np.unique(mapping)) == set(range(SIZE4))  # every level used
-    for out in (out, *_msib_f_dist([dist])):
-        llr = out.alphabet.llr_table
-        assert np.array_equal(llr, -llr[::-1])
-        assert mi_bits(out.joint) <= mi_bits(dist.joint) + 1e-12
+    for (out_llr,), (out_joint,) in ((ib_llr, ib_joint), _msib_f_dist(joint[None])):
+        assert np.array_equal(out_llr, -out_llr[::-1])
+        assert mi_bits(out_joint) <= mi_bits(joint) + 1e-12
 
 
 def test_f_table_places_zero_box_plus_scores():
@@ -326,15 +372,15 @@ def test_f_table_places_zero_box_plus_scores():
     llr = np.array([-2.0, -1e-9, 1e-9, 2.0])
     assert f_exact(llr[1], llr[1], clip=np.inf) == 0.0
     p0 = np.array([0.025, 0.1, 0.125, 0.25])
-    (mapping,), (out,) = build_f_table([MessageDist(MessageAlphabet(llr), np.stack([p0, p0[::-1]]))])
+    (mapping,), (out_llr,), _ = build_f_table(llr[None], np.stack([p0, p0[::-1]])[None])
     assert mapping.tolist() == [[3, 2, 1, 0], [2, 1, 1, 1], [1, 2, 2, 2], [0, 1, 2, 3]]
-    assert np.array_equal(out.alphabet.llr_table, -out.alphabet.llr_table[::-1])
+    assert np.array_equal(out_llr, -out_llr[::-1])
 
 
-def minsum_designed_f(dist):
-    """The MSIB f update as the quantizer DP designs it on min-sum scores:
-    (mapping, MessageDist)."""
-    llr, p = dist.alphabet.llr_table, dist.joint
+def minsum_designed_f(llr, p):
+    """The MSIB f update of a parent with translation LLRs ``llr`` (S,) and
+    joint ``p`` (2, S) as the quantizer DP designs it on min-sum scores:
+    (mapping, llr (S,), joint (2, S))."""
     size = llr.size
     joint = np.stack([
         p[0][:, None] * p[0][None, :] + p[1][:, None] * p[1][None, :],
@@ -342,10 +388,10 @@ def minsum_designed_f(dist):
     ])
     scores = f_minsum(llr[:, None], llr[None, :])
     t1_upper = np.broadcast_to((np.arange(size) >= size // 2)[:, None], scores.shape)
-    (level_of_obs,), (out,) = _design_symmetric(
+    (level_of_obs,), (out_llr,), (out_joint,) = _design_symmetric(
         scores.reshape(1, -1), joint.reshape(1, 2, -1), size, zero_upper=t1_upper.ravel()
     )
-    return level_of_obs.reshape(size, size), out
+    return level_of_obs.reshape(size, size), out_llr, out_joint
 
 
 def test_f_table_minsum_equals_index_rule():
@@ -354,26 +400,26 @@ def test_f_table_minsum_equals_index_rule():
     for w in range(1, 7):
         size = 1 << w
         t1, t2 = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
-        frontier = [quantize_channel(0.5, 0.5, w)[1]]
+        frontier = [quantize_channel(0.5, 0.5, w)[1:]]
         for _ in range(3):  # the channel, then every f/g path of 1 and 2 steps
             deeper = []
-            for dist in frontier:
-                mapping, designed = minsum_designed_f(dist)
+            for llr, joint in frontier:
+                mapping, f_llr, f_joint = minsum_designed_f(llr, joint)
                 assert np.array_equal(mapping, msib_f_index(t1, t2, size))
-                (shortcut,) = _msib_f_dist([dist])
-                assert shortcut.joint.tobytes() == designed.joint.tobytes()
-                assert shortcut.alphabet.llr_table.tobytes() == designed.alphabet.llr_table.tobytes()
-                deeper += [designed, *build_g_table([dist])[1]]
+                (short_llr,), (short_joint,) = _msib_f_dist(joint[None])
+                assert short_joint.tobytes() == f_joint.tobytes()
+                assert short_llr.tobytes() == f_llr.tobytes()
+                _, (g_llr,), (g_joint,) = build_g_table(llr[None], joint[None])
+                deeper += [(f_llr, f_joint), (g_llr, g_joint)]
             frontier = deeper
 
 
 def test_g_table_covers_full_domain_and_gains_information(channel4):
-    _, dist = channel4
-    (mapping,), (out,) = build_g_table([dist])
+    _, llr, pa = channel4
+    (mapping,), _, (out_joint,) = build_g_table(llr[None], pa[None])
     assert mapping.shape == (SIZE4, SIZE4, 2)
     assert mapping.size == 2 ** (2 * W4 + 1)
     # unquantized g observation: (t1, t2, b) kept distinct
-    pa = dist.joint
     unq = np.empty((2, SIZE4 * SIZE4 * 2))
     idx = 0
     for t1 in range(SIZE4):
@@ -383,14 +429,13 @@ def test_g_table_covers_full_domain_and_gains_information(channel4):
                 unq[1, idx] = pa[1 ^ b, t1] * pa[1, t2]
                 idx += 1
     unquantized_mi = mi_bits(unq)
-    got = mi_bits(out.joint)
-    assert got >= mi_bits(dist.joint) - 1e-12  # combining two looks helps
+    got = mi_bits(out_joint)
+    assert got >= mi_bits(pa) - 1e-12  # combining two looks helps
     assert got >= 0.95 * unquantized_mi
 
 
 def test_g_table_b_marginal_uniform(channel4):
-    _, dist = channel4
-    pa = dist.joint
+    _, _, pa = channel4
     mass_b0 = sum(pa[b, t1] * pa[x ^ b, t2]
                   for x in (0, 1) for t1 in range(SIZE4) for t2 in range(SIZE4)
                   for b in (0,))
@@ -431,8 +476,7 @@ def test_msib_index_in_message_dtype_equals_int64_form(w):
 
 
 def test_msib_index_commutes_with_translation_sign(channel4):
-    _, dist = channel4
-    llr = dist.alphabet.llr_table
+    _, llr, _ = channel4
     t1, t2 = np.meshgrid(np.arange(SIZE4), np.arange(SIZE4), indexing="ij")
     out = msib_f_index(t1, t2, SIZE4)
     reference = f_minsum(llr[t1], llr[t2])
@@ -477,22 +521,22 @@ def test_design_evolution_respects_data_processing():
     # worse than a single branch, and everything stays a valid bit of MI
     code = fp.construct(16, 8, 0)
     tree = fp.sc_tree(code)
-    _, channel = quantize_channel(0.5, code.rate, W4)
+    _, llr, joint = quantize_channel(0.5, code.rate, W4)
 
-    def rec(node, dist):
+    def rec(node, llr, joint):
         if node.is_leaf:
             return
-        parent_mi = mi_bits(dist.joint)
-        _, (f_out,) = build_f_table([dist])
-        assert mi_bits(f_out.joint) <= parent_mi + 1e-12
-        _, (g_out,) = build_g_table([dist])
-        assert mi_bits(g_out.joint) >= parent_mi - 1e-12
-        assert 0.0 <= mi_bits(f_out.joint) <= 1.0
-        assert 0.0 <= mi_bits(g_out.joint) <= 1.0
-        rec(node.left, f_out)
-        rec(node.right, g_out)
+        parent_mi = mi_bits(joint)
+        _, (f_llr,), (f_joint,) = build_f_table(llr[None], joint[None])
+        assert mi_bits(f_joint) <= parent_mi + 1e-12
+        _, (g_llr,), (g_joint,) = build_g_table(llr[None], joint[None])
+        assert mi_bits(g_joint) >= parent_mi - 1e-12
+        assert 0.0 <= mi_bits(f_joint) <= 1.0
+        assert 0.0 <= mi_bits(g_joint) <= 1.0
+        rec(node.left, f_llr, f_joint)
+        rec(node.right, g_llr, g_joint)
 
-    rec(tree.root, channel)
+    rec(tree.root, llr, joint)
 
 
 def test_fast_design_is_restriction_of_sc_design():
@@ -542,7 +586,7 @@ def test_design_builds_g_tables_once_per_depth_batch(monkeypatch):
     batches = []
     build = lutdesign.build_g_table
     monkeypatch.setattr(lutdesign, "build_g_table",
-                        lambda dists: batches.append(len(dists)) or build(dists))
+                        lambda llr, joint: batches.append(len(llr)) or build(llr, joint))
     lutset = design_lutset(code, tree, "msib", 2.0, W4)
     assert sum(batches) == len(lutset.decoding_tables) == 85
     assert batches == expected

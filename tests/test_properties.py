@@ -514,12 +514,12 @@ def test_blocked_dp_batched_rows_equal_matrix_dp_bit_for_bit(rows, data):
 
 @st.composite
 def parent_dists(draw, w, kind=None):
-    """A parent MessageDist at alphabet size 2^w. Its odd-symmetric LLRs are
-    halves of small integers ("grid": many tied g and f scores, few positive
-    groups), spread floats ("float": few ties, many groups; past 512 positive
-    g groups at w=6, so pre-binned), or floats whose weakest level is 1e-9
-    ("tiny": that level's box-plus with itself cancels to a zero f score).
-    Every g space has zero scores, L(t) - L(t)."""
+    """A parent (translation LLRs (S,), joint (2, S)) at alphabet size S = 2^w.
+    Its odd-symmetric LLRs are halves of small integers ("grid": many tied g
+    and f scores, few positive groups), spread floats ("float": few ties, many
+    groups; past 512 positive g groups at w=6, so pre-binned), or floats whose
+    weakest level is 1e-9 ("tiny": that level's box-plus with itself cancels
+    to a zero f score). Every g space has zero scores, L(t) - L(t)."""
     half = 1 << (w - 1)
     kind = kind or draw(st.sampled_from(["grid", "float", "tiny"]))
     if kind == "grid":
@@ -535,26 +535,27 @@ def parent_dists(draw, w, kind=None):
     q_half = draw(hnp.arrays(np.float64, half, elements=st.floats(1e-3, 1.0)))
     q = np.concatenate([q_half[::-1], q_half])
     joint = np.stack([q * np.exp(llr / 2), q * np.exp(-llr / 2)])
-    return lutdesign.MessageDist(lutdesign.MessageAlphabet(llr), joint / joint.sum())
+    joint /= joint.sum()
+    lutdesign._check_dists(llr[None], joint[None])  # a valid parent, as the design makes
+    return llr, joint
 
 
 def check_batch_equals_singles(build, w, data):
     # a grid row and a float row differ in positive-group count, so the batch is padded
     rows = [data.draw(parent_dists(w, "grid")), data.draw(parent_dists(w, "float"))]
     rows += data.draw(st.lists(parent_dists(w), max_size=2))
-    dists = data.draw(st.permutations(rows))
+    llr, joint = map(np.stack, zip(*data.draw(st.permutations(rows))))
     try:
-        singles = [build([dist]) for dist in dists]
+        singles = [build(llr[r:r + 1], joint[r:r + 1]) for r in range(len(llr))]
     except lutdesign.LutDesignError as err:
         with pytest.raises(lutdesign.LutDesignError, match=re.escape(str(err))):
-            build(dists)
+            build(llr, joint)
         return
-    maps, outs = build(dists)
-    assert len(maps) == len(outs) == len(dists)
-    for ((one_map,), (one_out,)), batch_map, batch_out in zip(singles, maps, outs):
-        assert same_bits(batch_map, one_map)
-        assert same_bits(batch_out.joint, one_out.joint)
-        assert same_bits(batch_out.alphabet.llr_table, one_out.alphabet.llr_table)
+    batch = build(llr, joint)
+    assert all(len(part) == len(llr) for part in batch)
+    for single, *rows in zip(singles, *batch):  # mapping, llr, joint of one parent
+        for (one,), row in zip(single, rows):
+            assert same_bits(row, one)
 
 
 TABLE_BUILDERS = pytest.mark.parametrize(
