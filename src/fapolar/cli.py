@@ -84,6 +84,8 @@ def _cmd_simulate(args, parser):
     if args.config:
         with open(args.config) as fh:
             overrides = json.load(fh)
+        if type(overrides) is not dict:
+            raise ValueError(f"--config must hold a JSON object, got {type(overrides).__name__}")
         actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
         for key, value in overrides.items():
             action = actions.get(key.replace("-", "_"))

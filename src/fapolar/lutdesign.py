@@ -11,9 +11,12 @@ input messages follow, and each leaf a translation table mapping messages to
 LLRs. MSIB f edges are the exception: their mapping is the min-sum index rule
 ``msib_f_index``, at design time as in the decoder, so they store no table.
 
-Alphabets are kept sorted by LLR and exactly odd-symmetric: boundaries are
-designed on the nonnegative half of the score space and mirrored, and the
-translation LLRs are symmetrized by averaging mirrored magnitudes.
+Alphabets are kept sorted by LLR and exactly odd-symmetric. A score space's
+observations are grouped by score magnitude, every magnitude held by as many
+positive as negative scores; boundaries are placed among the magnitudes, on
+the masses of their positive members, and a negative score takes the mirror
+of the level its magnitude gets. The translation LLRs are symmetrized by
+averaging mirrored magnitudes.
 
 A tree depth's distributions are two stacked arrays, one row per node:
 translation LLRs (T, S) and joints (T, 2, S). ``build_f_table`` and
@@ -73,18 +76,6 @@ def _check_dists(llr, joint=None):
         raise LutDesignError(DIST_RULES[np.argmax(bad[:, np.argmax(bad.any(axis=0))])])
 
 
-@dataclass(frozen=True)
-class MessageAlphabet:
-    """Integer message alphabet with its translation LLRs."""
-
-    llr_table: np.ndarray
-
-    def __post_init__(self):
-        llr = np.asarray(self.llr_table, dtype=np.float64)
-        object.__setattr__(self, "llr_table", llr)
-        _check_dists(llr[None])
-
-
 def symmetrize_llrs(llr_table) -> np.ndarray:
     """Force exact odd symmetry by averaging mirrored magnitudes (along the last axis)."""
     llr = np.asarray(llr_table, dtype=np.float64)
@@ -128,19 +119,16 @@ def _sum_by(index, joint, size):
     return out
 
 
-def _merge_sorted(scores, joint):
-    """Group equal neighbours in each row of ascending ``scores`` (T, n) and
-    sum their ``joint`` (T, 2, n) masses, a lossless merge. Returns
-    (group_scores, group_joint, group_of, n_groups): row r has n_groups[r]
-    groups, padded to the most groups of any row with score 0 and zero mass,
-    and group_of[r, y] is observation y's group."""
-    new_group = np.ones(scores.shape, dtype=bool)
-    np.not_equal(scores[:, 1:], scores[:, :-1], out=new_group[:, 1:])
+def _merge_sorted(keys, joint):
+    """Group equal neighbours in each row of ascending ``keys`` (T, n) and sum
+    their ``joint`` (T, 2, n) masses, a lossless merge. Returns (group_joint,
+    group_of, n_groups): row r has n_groups[r] groups, padded with zero mass to
+    the most groups of any row, and group_of[r, y] is observation y's group."""
+    new_group = np.ones(keys.shape, dtype=bool)
+    np.not_equal(keys[:, 1:], keys[:, :-1], out=new_group[:, 1:])
     group_of = np.cumsum(new_group, axis=1) - 1
     n_groups = group_of[:, -1] + 1
-    group_scores = np.zeros((len(scores), n_groups.max()))
-    group_scores[np.nonzero(new_group)[0], group_of[new_group]] = scores[new_group]
-    return group_scores, _sum_by(group_of, joint, group_scores.shape[1]), group_of, n_groups
+    return _sum_by(group_of, joint, n_groups.max()), group_of, n_groups
 
 
 @lru_cache(maxsize=1)  # the tallest block's, sliced for the others
@@ -273,58 +261,67 @@ def _prebin_groups(group_joint, lengths, limit):
     return _sum_by(bin_of, group_joint, n_bins.max()), bin_of, n_bins
 
 
-def _positive_groups(scores, joint):
-    """Sort and tie-merge each row of ``scores`` (T, n), check that its score
-    space is symmetric, and gather the strictly positive groups' masses.
+def _magnitude_groups(scores, joint):
+    """Group the observations of each row of ``scores`` (T, n) by score
+    magnitude, check that the row's score space is symmetric, and gather the
+    masses of each magnitude's positive-score members.
 
-    Returns (order, group_of, n_pos, n_zero, right): the stable sort order,
-    each sorted observation's group (both in the narrowest signed integer
-    type that holds a row's positions), the counts of positive groups (as
-    many as negative ones) and of zero-score groups (0 or 1), and the
-    (T, 2, P) masses of each row's positive groups, padded with zero mass to
-    the widest row. The merged scores and masses are freed on return, before
-    the quantizer DP allocates its scratch.
+    One stable sort on |score| puts each row's magnitudes in ascending order,
+    zero scores keyed +inf so that they form one last group. A row is
+    symmetric when every magnitude has as many positive as negative
+    observations: the running sign sum is 0 at every group end.
+
+    Returns (group_of, sign, n_pos, right): each observation's group (in the
+    narrowest integer type that holds a row's positions) and score sign
+    (int8), in observation order; the count of nonzero magnitudes; and
+    the (T, 2, P) masses of their positive members, ascending, padded with
+    zero mass to the widest row. The sorted copies are freed on return,
+    before the quantizer DP allocates its scratch.
     """
-    position = np.min_scalar_type(-scores.shape[1])
-    order = np.argsort(scores, axis=1, kind="stable").astype(position)
-    g_scores, g_joint, group_of, n_groups = _merge_sorted(
-        np.take_along_axis(scores, order, axis=1), np.take_along_axis(joint, order[:, None], axis=2))
-    group_of = group_of.astype(position)
-    idx = np.arange(g_scores.shape[1])
-    n_neg = np.count_nonzero(g_scores < 0, axis=1)
-    n_zero = np.count_nonzero((g_scores == 0) & (idx < n_groups[:, None]), axis=1)
-    mirror = np.take_along_axis(g_scores, np.maximum(n_groups[:, None] - 1 - idx, 0), axis=1)
-    if np.any(2 * n_neg + n_zero != n_groups) \
-            or not np.all((g_scores == -mirror) | (idx >= n_neg[:, None])):
+    n_rows, n_obs = scores.shape
+    rows = np.arange(n_rows)[:, None]
+    key = np.abs(scores)
+    key[scores == 0] = np.inf
+    order = np.argsort(key, axis=1, kind="stable")
+    key = key[rows, order]
+    sign = np.sign(scores).astype(np.int8)
+    sorted_sign = sign[rows, order]
+    positive = np.take_along_axis(joint, order[:, None], axis=2)
+    positive *= (sorted_sign > 0)[:, None]
+    right, sorted_group, n_groups = _merge_sorted(key, positive)
+    del key, positive
+    group_end = np.ones(scores.shape, dtype=bool)
+    np.not_equal(sorted_group[:, 1:], sorted_group[:, :-1], out=group_end[:, :-1])
+    if np.cumsum(sorted_sign, axis=1)[group_end].any():
         raise LutDesignError("score space is not symmetric")
-    pos = np.arange(n_neg.max())
-    first_pos = np.minimum((n_neg + n_zero)[:, None] + pos, g_scores.shape[1] - 1)
-    right = np.take_along_axis(g_joint, first_pos[:, None], axis=2)
-    right *= (pos < n_neg[:, None])[:, None]  # zero mass past each row's groups
-    return order, group_of, n_neg, n_zero, right
+    group_of = np.empty(scores.shape, dtype=np.min_scalar_type(n_obs))
+    group_of[rows, order] = sorted_group
+    n_pos = n_groups - (sign == 0).any(axis=1)
+    return group_of, sign, n_pos, right[:, :, :n_pos.max()]
 
 
-def _design_symmetric(scores, joint, out_size, zero_upper=None, max_groups=MAX_DESIGN_GROUPS):
+def _design_symmetric(scores, joint, out_size, max_groups=MAX_DESIGN_GROUPS):
     """Quantize T symmetric score spaces at once into odd-symmetric alphabets.
 
     ``scores`` is (T, n) and ``joint`` (T, 2, n), one table per row. Each
-    row's observations are sorted by score and tie-merged; boundaries are
-    designed on the nonnegative half and mirrored. Zero-score observations
-    (possible for g updates) map to one of the two middle levels according to
-    ``zero_upper`` (n,) so that mirror pairs split evenly. Rows with fewer
-    positive groups are padded with zero mass for the one quantizer DP.
+    row's observations are grouped by score magnitude (``_magnitude_groups``)
+    and the quantizer DP splits the positive members' masses into out_size/2
+    intervals of ascending magnitude. An observation in interval k takes level
+    out_size/2 + k if its score is positive, out_size/2 - 1 - k if negative.
+    A zero score is uninformative and takes a middle level by its position:
+    the upper one in the upper half of its row's observation order, the lower
+    one in the lower half. The f and g callers order observations t1-major,
+    so that half is t1's, and each mirror pair splits evenly; pinning zero
+    mass there keeps every level's LLR strictly away from its neighbours'.
+    Rows with fewer magnitudes are padded with zero mass for the one DP.
 
     Returns level_of_obs (T, n) and the outputs' (llr, joint) of ``_output_dists``.
     """
     scores = np.asarray(scores, dtype=np.float64)
     joint = np.asarray(joint, dtype=np.float64)
-    n_rows, n_obs = scores.shape
+    n_obs = scores.shape[1]
     half_out = out_size // 2
-    # Boundaries are placed among the strictly positive groups. Zero-score
-    # mass is uninformative; it is pinned to the two middle levels afterwards,
-    # which keeps every level's aggregate LLR strictly away from its
-    # neighbours'.
-    order, group_of, n_pos, n_zero, right = _positive_groups(scores, joint)
+    group_of, sign, n_pos, right = _magnitude_groups(scores, joint)
     del scores  # f and g callers pass theirs in unnamed: freed here, before the DP
     binned, bin_of, n_bins = _prebin_groups(right, n_pos, max_groups)
     if n_bins.min() < half_out:
@@ -332,24 +329,11 @@ def _design_symmetric(scores, joint, out_size, zero_upper=None, max_groups=MAX_D
     splits, _ = _optimal_partition(binned, half_out, n_bins)
     # searchsorted(splits, bin, side="right") of each row
     interval = np.count_nonzero(np.arange(binned.shape[2])[:, None] >= splits[:, None, :], axis=2)
-    pos_levels = half_out + np.take_along_axis(interval, bin_of, axis=1)
-
-    # a negative group takes the mirror level of its mirror positive group
-    group = np.arange(2 * n_pos.max() + 1)
-    first_pos = (n_pos + n_zero)[:, None]
-    mirror_pos = np.where(group >= first_pos, group - first_pos, (n_pos - 1)[:, None] - group)
-    level_of_group = np.take_along_axis(pos_levels, np.clip(mirror_pos, 0, right.shape[2] - 1), axis=1)
-    level_of_group = np.where(group < n_pos[:, None], out_size - 1 - level_of_group, level_of_group)
-    level_sorted = np.take_along_axis(level_of_group, group_of, axis=1)
-    zero_sorted = (group_of == n_pos[:, None]) & (n_zero > 0)[:, None]
-    if zero_sorted.any():  # the single merged zero group of a row splits by side
-        if zero_upper is None:
-            raise LutDesignError("zero-score observations need a side rule")
-        upper_sorted = np.asarray(zero_upper, dtype=bool)[order]
-        level_sorted = np.where(zero_sorted, np.where(upper_sorted, half_out, half_out - 1),
-                                level_sorted)
-    level_of_obs = np.empty((n_rows, n_obs), dtype=np.int64)
-    np.put_along_axis(level_of_obs, order, level_sorted, axis=1)
+    interval = np.take_along_axis(interval, bin_of, axis=1)
+    # the zero group (past every row's nonzero magnitudes) reads any interval: sign 0 drops it
+    rank = np.take_along_axis(interval, np.minimum(group_of, interval.shape[1] - 1), axis=1)
+    middle = np.where(np.arange(n_obs) >= n_obs // 2, half_out, half_out - 1)
+    level_of_obs = np.select([sign > 0, sign < 0], [half_out + rank, half_out - 1 - rank], middle)
     return level_of_obs, *_output_dists(level_of_obs, joint, out_size)
 
 
@@ -422,13 +406,13 @@ def build_f_table(llr, p):
     t2] = t_out for parent r, then the outputs' (llr, joint) rows.
     """
     size = llr.shape[1]
-    t1_upper = np.broadcast_to((np.arange(size) >= size // 2)[:, None], (size, size))
     # unclipped scores: these are sort keys, and clipping would alias
     # distinct levels once deep distributions saturate; below ~1e-8 the
-    # box-plus of two LLRs can cancel to 0 in float: those take t1's side
+    # box-plus of two LLRs can cancel to 0 in float: such a pair takes the
+    # middle level on t1's side (its half of the t1-major observation order)
     level_of_obs, *out = _design_symmetric(
         f_exact(llr[:, :, None], llr[:, None, :], clip=np.inf).reshape(len(llr), -1),
-        _f_pair_joint(p), size, zero_upper=t1_upper.ravel())
+        _f_pair_joint(p), size)
     return level_of_obs.reshape(-1, size, size).astype(np.int16), *out
 
 
@@ -460,11 +444,10 @@ def build_g_table(llr, p):
     for x in (0, 1):
         for b in (0, 1):
             joint[:, x, :, :, b] = p[:, b ^ x, :, None] * p[:, x, None, :]
-    t1_upper = np.broadcast_to((np.arange(size) >= size // 2)[:, None, None], (size, size, 2))
     level_of_obs, *out = _design_symmetric(
         np.stack([llr[:, :, None] + llr[:, None, :], -llr[:, :, None] + llr[:, None, :]],
                  axis=-1).reshape(n_rows, -1),
-        joint.reshape(n_rows, 2, -1), size, zero_upper=t1_upper.ravel())
+        joint.reshape(n_rows, 2, -1), size)
     return level_of_obs.reshape(-1, size, size, 2).astype(np.int16), *out
 
 
@@ -664,16 +647,16 @@ def load_lutset(path) -> LutSet:
             raise LutDesignError(f"decoding table {key}: entries must lie in [0, {size})")
         decoding[table_id] = table.reshape(shape)
     translation = {}
-    for key, llrs in _field(doc, "translation_tables", dict).items():
+    for key, entry in _field(doc, "translation_tables", dict).items():
         table_id = _table_id("translation", key)
         try:
-            alphabet = MessageAlphabet(llrs)
+            llr = np.asarray(entry, dtype=np.float64)
+            _check_dists(llr[None])
         except (LutDesignError, TypeError, ValueError) as err:
             raise LutDesignError(f"translation table {key}: {err}") from None
-        if alphabet.llr_table.size != size:
-            raise LutDesignError(f"translation table {key}: {alphabet.llr_table.size} LLRs, "
-                                 f"w={w} needs {size}")
-        translation[table_id] = alphabet.llr_table
+        if llr.size != size:
+            raise LutDesignError(f"translation table {key}: {llr.size} LLRs, w={w} needs {size}")
+        translation[table_id] = llr
     raw_ebn0 = _field(doc, "design_ebn0_db", int, float)
     try:
         design_ebn0_db = float(raw_ebn0)

@@ -217,7 +217,7 @@ def test_criterion_07_quantizer_optimality():
         raw /= raw.sum()
         order = np.argsort(np.log(raw[0] / raw[1]), kind="stable")
         srt = raw[:, order]
-        _, joint, _, (n_groups,) = _merge_sorted(np.log(srt[0] / srt[1])[None], srt[None])
+        joint, _, (n_groups,) = _merge_sorted(np.log(srt[0] / srt[1])[None], srt[None])
         joint = joint[0, :, :n_groups]
         if joint.shape[1] < out_size:
             continue

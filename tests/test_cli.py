@@ -130,6 +130,15 @@ def test_config_errors_exit_2(capsys, tmp_path):
         assert want_rc == 0 or repr(key) in err
 
 
+@pytest.mark.parametrize("doc,name", [([1, 2], "list"), (None, "NoneType"), ("x", "str")])
+def test_config_that_holds_no_object_exits_2(capsys, tmp_path, doc, name):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(doc))
+    rc, _, err = run_cli(capsys, "simulate", "--config", str(cfg_file))
+    assert rc == 2
+    assert f"--config must hold a JSON object, got {name}" in err
+
+
 def test_negative_crc_width_exits_2(capsys):
     rc, _, err = run_cli(capsys, "tree", "--n", "8", "--k", "3", "--crc", "-2")
     assert rc == 2 and "CRC width must be >= 0, got -2" in err

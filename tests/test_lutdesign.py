@@ -15,7 +15,6 @@ from fapolar import lutdesign
 from fapolar.arith import f_exact, f_minsum
 from fapolar.lutdesign import (
     LutDesignError,
-    MessageAlphabet,
     _check_dists,
     _design_symmetric,
     _merge_sorted,
@@ -82,7 +81,7 @@ def sorted_random_joint(rng, n_obs):
     order = np.argsort(np.log(raw[0] / raw[1]), kind="stable")
     srt = raw[:, order]
     scores = np.log(srt[0] / srt[1])
-    _, grouped, _, (n_groups,) = _merge_sorted(scores[None], srt[None])
+    grouped, _, (n_groups,) = _merge_sorted(scores[None], srt[None])
     return grouped[0, :, :n_groups]
 
 
@@ -104,16 +103,15 @@ def channel4():
 # ---------------------------------------------------------------------------
 # alphabet plumbing
 
-def test_message_alphabet_invariants():
-    MessageAlphabet(np.array([-2.0, -1.0, 1.0, 2.0]))
-    with pytest.raises(LutDesignError):
-        MessageAlphabet(np.array([-2.0, 1.0, -1.0, 2.0]))      # not sorted
-    with pytest.raises(LutDesignError):
-        MessageAlphabet(np.array([-2.0, -1.0, 1.0, 2.5]))      # not symmetric
-    with pytest.raises(LutDesignError):
-        MessageAlphabet(np.array([-1.0, 0.0, 1.0]))            # odd size
-    with pytest.raises(LutDesignError, match="finite"):
-        MessageAlphabet(np.array([-np.inf, -1.0, 1.0, np.inf]))
+def test_one_row_translation_rules():
+    # a loaded translation table is checked as one row of translation LLRs
+    _check_dists(np.array([[-2.0, -1.0, 1.0, 2.0]]))
+    for llr, message in (([-2.0, 1.0, -1.0, 2.0], "strictly increasing"),
+                         ([-2.0, -1.0, 1.0, 2.5], "odd-symmetric"),
+                         ([-1.0, 0.0, 1.0], "alphabet size must be even and >= 2"),
+                         ([-np.inf, -1.0, 1.0, np.inf], "finite")):
+        with pytest.raises(LutDesignError, match=re.escape(message)):
+            _check_dists(np.array([llr]))
 
 
 SYMMETRIC4 = [-2.0, -1.0, 1.0, 2.0]
@@ -144,8 +142,6 @@ def test_batch_check_refuses_an_odd_or_one_level_alphabet():
         llr = np.tile(np.linspace(-1.0, 1.0, width), (3, 1))
         with pytest.raises(LutDesignError, match="alphabet size must be even and >= 2"):
             _check_dists(llr, np.full((3, 2, width), 0.5 / width))
-    with pytest.raises(LutDesignError, match="alphabet size must be even and >= 2"):
-        MessageAlphabet(np.array(SYMMETRIC4 * 2).reshape(2, 4))  # a nested list is no alphabet
 
 
 def test_output_dists_checks_each_row_of_the_batch():
@@ -167,9 +163,8 @@ def test_symmetrize_averages_mirrored_magnitudes():
 def test_merge_equal_llrs_is_lossless():
     joint = np.array([[0.1, 0.2, 0.05, 0.15], [0.05, 0.1, 0.025, 0.325]])
     scores = np.array([-1.0, 0.5, 0.5, 2.0])
-    group_scores, grouped, group_of, n_groups = _merge_sorted(scores[None], joint[None])
+    grouped, group_of, n_groups = _merge_sorted(scores[None], joint[None])
     assert n_groups.tolist() == [3] and grouped.shape == (1, 2, 3)
-    assert group_scores.tolist() == [[-1.0, 0.5, 2.0]]
     assert group_of.tolist() == [[0, 1, 1, 2]]
     assert abs(mi_bits(grouped[0]) - mi_bits(joint)) < 1e-12  # same-LLR merge loses nothing
 
@@ -377,6 +372,22 @@ def test_f_table_places_zero_box_plus_scores():
     assert np.array_equal(out_llr, -out_llr[::-1])
 
 
+@pytest.mark.parametrize("scores", [
+    [[-2.0, -1.0, 1.0, 2.0], [-3.0, -1.0, 1.0, 2.0]],     # magnitude 3 and 2 have no mirror
+    [[-1.0, 1.0, 0.0, 0.0], [-1.0, 1.0, 1.0, 0.0]],       # two +1 against one -1
+    [[2.0, -2.0, 0.0, 0.0], [2.0, 2.0, -2.0, -2.0], [-1.0, 2.0, 1.0, 2.0]],
+], ids=["no-mirror", "unequal-counts", "third-row"])
+def test_design_refuses_an_asymmetric_score_space(scores):
+    # every magnitude needs as many positive as negative observations, in
+    # every row: the rows before the last are symmetric, the last is not
+    scores = np.array(scores)
+    joint = np.stack([np.exp(scores / 2), np.exp(-scores / 2)], axis=1)
+    joint /= joint.sum(axis=(1, 2), keepdims=True)
+    _design_symmetric(scores[:-1], joint[:-1], 2)
+    with pytest.raises(LutDesignError, match="score space is not symmetric"):
+        _design_symmetric(scores, joint, 2)
+
+
 def minsum_designed_f(llr, p):
     """The MSIB f update of a parent with translation LLRs ``llr`` (S,) and
     joint ``p`` (2, S) as the quantizer DP designs it on min-sum scores:
@@ -387,10 +398,8 @@ def minsum_designed_f(llr, p):
         p[0][:, None] * p[1][None, :] + p[1][:, None] * p[0][None, :],
     ])
     scores = f_minsum(llr[:, None], llr[None, :])
-    t1_upper = np.broadcast_to((np.arange(size) >= size // 2)[:, None], scores.shape)
     (level_of_obs,), (out_llr,), (out_joint,) = _design_symmetric(
-        scores.reshape(1, -1), joint.reshape(1, 2, -1), size, zero_upper=t1_upper.ravel()
-    )
+        scores.reshape(1, -1), joint.reshape(1, 2, -1), size)
     return level_of_obs.reshape(size, size), out_llr, out_joint
 
 
@@ -512,8 +521,7 @@ def test_design_counts_match_tree_counts():
 def test_design_translation_tables_all_valid(code8):
     code = fp.construct(32, 16, 0)
     lutset = design_lutset(code, fp.build_tree(code), "ib", 0.5, W4)
-    for table in lutset.translation_tables.values():
-        MessageAlphabet(table)  # sorted + odd-symmetric or it raises
+    _check_dists(np.stack(list(lutset.translation_tables.values())))  # sorted + odd-symmetric
 
 
 def test_design_evolution_respects_data_processing():
@@ -642,6 +650,19 @@ def test_n64_msib_lutset_bytes_pinned(tmp_path, w, digest):
     assert saved_sha256(lutset, tmp_path / "set.json") == digest
 
 
+# sha256 of the saved bytes, recorded before the f/g score spaces were grouped
+# by magnitude; the w=6 SC set pre-bins its f and g spaces past 512 groups
+@pytest.mark.parametrize("block_len,payload_len,schedule,design_db,w,digest", [
+    (64, 28, "sc", 2.0, 6, "0a77e113adc6c0b2c10c0aebb328e2c7a3a91a7908e9d210b9fa211f4330ac33"),
+    (128, 60, "fast", 1.0, 3, "931fcbcf0e99f13241a27d97d9af90cfa8e9cceb75b5b98a26950ce6a64678e8"),
+])
+def test_ib_lutset_bytes_pinned(tmp_path, block_len, payload_len, schedule, design_db, w, digest):
+    code = fp.construct(block_len, payload_len, 8)
+    tree = fp.sc_tree(code) if schedule == "sc" else fp.build_tree(code)
+    lutset = design_lutset(code, tree, "ib", design_db, w)
+    assert saved_sha256(lutset, tmp_path / "set.json") == digest
+
+
 @pytest.mark.slow  # shares the w=8 design with test_w8_lut_scl_nearly_lossless
 def test_sc_w8_lutset_bytes_pinned(tmp_path, n64_sc_ib_w8):
     digest = "67e1b4b6eef3a1ce173dbf67f44df6a51a075bd665ba88c3141c58cbb42eaedb"
@@ -743,6 +764,8 @@ def set_decoding_table(value):
     (set_translation([float(v) for v in range(-8, 8)]), "odd-symmetric"),
     (set_translation([float(v) for v in range(8, -8, -1)]), "strictly increasing"),
     (set_translation("llrs"), "could not convert"),
+    (set_translation([-1.0, 0.0, 1.0]), "alphabet size must be even and >= 2"),
+    (set_translation([SYMMETRIC4] * 2), "alphabet size must be even and >= 2"),  # nested: no row
     (set_translation([-np.inf] + [float(v) for v in range(-7, 0)]
                      + [float(v) for v in range(1, 8)] + [np.inf]), "finite"),
     (set_decoding_table([0, 1, 2]), "must be a JSON object"),
@@ -766,7 +789,8 @@ def set_decoding_table(value):
     (set_key("channel_thresholds", list(range(-7, 8))), "floats"),
 ], ids=["w0", "w16", "w20", "w-float", "arity4", "arity-shape", "entry-negative",
         "entry-too-large", "entry-float", "entry-bool", "entry-huge", "translation-size", "translation-asymmetric",
-        "translation-decreasing", "translation-string", "translation-infinite",
+        "translation-decreasing", "translation-string", "translation-odd", "translation-nested",
+        "translation-infinite",
         "decoding-entry-list", "decoding-id-word", "decoding-id-leading-zero",
         "translation-id-negative",
         "missing-schedule-hash", "missing-decoding-tables", "block-len-string",

@@ -3,7 +3,8 @@ reference walk of the same tree, the rate-1/SPC constituent decoders against
 their split-by-split form, the arithmetic kernels' in-place forms against
 their allocating forms and against the formulas they replaced, the blocked
 quantizer DP against the full-matrix DP, tables designed in one batch against
-the same tables designed one at a time, and the CRC generator product against
+the same tables designed one at a time, designed tables and the channel
+quantizer against the alphabet's mirror, and the CRC generator product against
 the per-bit register loop. Examples are derandomized (see conftest)."""
 
 import dataclasses
@@ -575,6 +576,51 @@ def test_batched_tables_equal_batches_of_one(w, build, data):
 @given(data=st.data())
 def test_batched_prebinned_tables_equal_batches_of_one(build, data):
     check_batch_equals_singles(build, 6, data)
+
+
+# ---------------------------------------------------------------------------
+# designed tables commute with the alphabet's mirror m(t) = S - 1 - t
+
+def check_mirrored_levels(w, data):
+    # f[m(t1), t2] = m(f[t1, t2]) and g[m(t1), m(t2), b] = m(g[t1, t2, b]),
+    # zero-score pairs included: every g space has them, "tiny" f spaces too
+    llr, joint = data.draw(parent_dists(w))
+    size = llr.size
+    (f_map,), *_ = lutdesign.build_f_table(llr[None], joint[None])
+    (g_map,), *_ = lutdesign.build_g_table(llr[None], joint[None])
+    assert np.array_equal(f_map[::-1], size - 1 - f_map)
+    assert np.array_equal(g_map[::-1, ::-1], size - 1 - g_map)
+
+
+@pytest.mark.parametrize("w", [2, 4])
+@settings(max_examples=30)
+@given(data=st.data())
+def test_designed_tables_map_mirrored_inputs_to_mirrored_levels(w, data):
+    check_mirrored_levels(w, data)
+
+
+@settings(max_examples=4)  # w=6 tables take ~0.1 s each
+@given(data=st.data())
+def test_prebinned_tables_map_mirrored_inputs_to_mirrored_levels(data):
+    check_mirrored_levels(6, data)
+
+
+@settings(max_examples=10)
+@given(ebn0_db=st.floats(-2.0, 6.0), rate=st.sampled_from([0.25, 0.5, 0.75]),
+       w=st.sampled_from([1, 2, 4, 6]))
+def test_channel_quantizer_maps_mirrored_cells_to_mirrored_levels(ebn0_db, rate, w):
+    levels = []
+    design = lutdesign._design_symmetric
+
+    def recording(*args, **kwargs):
+        out = design(*args, **kwargs)
+        levels.append(out[0][0])
+        return out
+
+    with mock.patch.object(lutdesign, "_design_symmetric", recording):
+        lutdesign.quantize_channel(ebn0_db, rate, w)
+    (level_of_cell,) = levels
+    assert np.array_equal(level_of_cell[::-1], (1 << w) - 1 - level_of_cell)
 
 
 # ---------------------------------------------------------------------------
